@@ -4,13 +4,26 @@ Input formats
 -------------
 csv
     One example per line, comma-separated 64-bit reals, optionally preceded
-    by a single header line skipped with --header. For
+    by a single header line skipped with --header (csv only). For
     ``--similarity precomputed`` the CSV must be the square similarity
     matrix itself.
 triples
     Sparse similarity entries: a required leading ``n=<count>`` line, then
-    one ``row,col,value`` line per stored entry. Only valid together with
+    one ``row,col,value`` line per stored entry; row and col are integers.
+    Only valid together with
     ``--function facility-location --similarity precomputed``.
+
+Both are UTF-8 text. Lines end in ``\n`` or ``\r\n`` (a lone ``\r`` also
+works), the last line needs no line end, and blank or whitespace-only lines
+are skipped. Numbers use Python's float syntax (signs, exponents). Every
+value must be finite: ``nan`` and ``inf`` are rejected with the file and
+line they are on.
+
+Parsing streams the file: a file whose every line is a record is read by
+``np.loadtxt`` straight from its path, without an in-memory copy of the
+text. Any other file (blank lines, non-ASCII bytes, other line ends, a
+malformed record) is read again by a per-line reader, which accepts the
+same syntax and names the first bad line.
 
 The output file carries a ``rank,index,gain`` header and one line per
 selected example, gains printed with 17 significant digits so they parse
@@ -25,11 +38,19 @@ import csv
 import os
 import sys
 import tempfile
+import warnings
+from contextlib import contextmanager
+from typing import Sequence
 
 import numpy as np
 
-from .exceptions import DegenerateInputError, InputError, TripleValidationError
-from .matrices import sparse_from_triples
+from .exceptions import (
+    ConstraintViolationError,
+    DegenerateInputError,
+    InputError,
+    TripleValidationError,
+)
+from .matrices import TRIPLE_DTYPE, sparse_from_triples
 from .selector import FacilityLocationSelector, FeatureBasedSelector
 
 __all__ = ["build_parser", "run", "main"]
@@ -111,16 +132,98 @@ def _validate_flags(args) -> None:
         raise CliError("--parallelism must be at least 1")
 
 
-def _read_lines(path: str) -> list[str]:
+@contextmanager
+def _opened(path: str):
+    """The input file opened for binary reading; read errors become CliError."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return fh.read().splitlines()
+        with open(path, "rb") as fh:
+            yield fh
     except OSError as exc:
         raise CliError(f"{path}: cannot read input ({exc.strerror or exc})") from None
 
 
-def load_csv_matrix(path: str, header: bool) -> tuple[np.ndarray, list[int]]:
+def _read_lines(path: str) -> list[str]:
+    with _opened(path) as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: cannot read input (not UTF-8 text: {exc})") from None
+
+
+# Bytes a plain input line may hold besides a "\r" that ends it.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
+
+
+def _plain_line_count(path: str) -> int | None:
+    """Number of lines in ``path``, or None unless it is printable ASCII whose
+    lines end in ``\\n`` or ``\\r\\n``.
+
+    For such a file np.loadtxt and str.splitlines break lines at the same
+    places, so numpy's rows map onto line numbers whenever no line is blank.
+    """
+    lines, last = 0, b""
+    with _opened(path) as fh:
+        while chunk := fh.read(1 << 20):
+            if chunk.endswith(b"\r"):
+                chunk += fh.read(1)
+            rest = chunk.translate(None, _PLAIN_BYTES)
+            if rest and (rest.strip(b"\r") or chunk.count(b"\r\n") != len(rest)):
+                return None
+            lines += chunk.count(b"\n")
+            last = chunk[-1:]
+    return lines + (last not in (b"", b"\n"))
+
+
+def _loadtxt(path: str, dtype: np.dtype, skiprows: int) -> np.ndarray | None:
+    """Comma-separated records of ``path`` after ``skiprows`` lines, or None
+    when numpy refuses the file (blank-only input included)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(
+                path, dtype=dtype, delimiter=",", comments=None, skiprows=skiprows,
+                ndmin=1 if dtype.names else 2, encoding="ascii",
+            )
+        except (OSError, ValueError, Warning):
+            return None
+
+
+def load_csv_matrix(path: str, header: bool) -> tuple[np.ndarray, Sequence[int]]:
     """Parse a CSV of reals. Returns (matrix, line number of each row)."""
+    first = 2 if header else 1
+    n_lines = _plain_line_count(path)
+    if n_lines is not None and n_lines >= first:
+        matrix = _loadtxt(path, np.dtype(np.float64), first - 1)
+        if matrix is not None and len(matrix) == n_lines - first + 1:
+            return matrix, range(first, n_lines + 1)
+    return _csv_by_line(path, header)
+
+
+def load_triples(path: str) -> tuple[int, np.ndarray | list[tuple[int, int, float]], Sequence[int]]:
+    """Parse a triples file. Returns (n, triples, line number of each triple).
+
+    ``triples`` is a :data:`~subsel.matrices.TRIPLE_DTYPE` array, or a list
+    of tuples where the per-line reader ran; sparse_from_triples takes both.
+    """
+    n_lines = _plain_line_count(path)
+    if n_lines is not None and n_lines >= 2:
+        with _opened(path) as fh:
+            first = fh.readline().decode("ascii").strip()
+        if first.startswith("n="):
+            n = _parse_count(path, 1, first)
+            triples = _loadtxt(path, TRIPLE_DTYPE, 1)
+            if triples is not None and len(triples) == n_lines - 1:
+                return n, triples, range(2, n_lines + 1)
+    return _triples_by_line(path)
+
+
+# The per-line readers below run only on files the numpy path above does not
+# take. They accept every file the CLI accepts and name the first bad line of
+# every file it rejects.
+
+
+def _csv_by_line(path: str, header: bool) -> tuple[np.ndarray, list[int]]:
     rows: list[list[float]] = []
     lines: list[int] = []
     width = None
@@ -153,21 +256,24 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def load_triples(path: str) -> tuple[int, list[tuple[int, int, float]], list[int]]:
-    """Parse a triples file. Returns (n, triples, line number of each triple)."""
+def _parse_count(path: str, lineno: int, line: str) -> int:
+    if not line.startswith("n="):
+        raise CliError(f"{path}:{lineno}: triples input must start with an 'n=<count>' line")
+    try:
+        n = int(line[2:])
+    except ValueError:
+        raise CliError(f"{path}:{lineno}: cannot parse {line[2:]!r} as a count") from None
+    if n < 1:
+        raise CliError(f"{path}:{lineno}: n must be at least 1, got {n}")
+    return n
+
+
+def _triples_by_line(path: str) -> tuple[int, list[tuple[int, int, float]], list[int]]:
     raw = [(i + 1, line.strip()) for i, line in enumerate(_read_lines(path))]
     rows = [(no, line) for no, line in raw if line]
     if not rows:
         raise CliError(f"{path}: empty dataset")
-    first_no, first = rows[0]
-    if not first.startswith("n="):
-        raise CliError(f"{path}:{first_no}: triples input must start with an 'n=<count>' line")
-    try:
-        n = int(first[2:])
-    except ValueError:
-        raise CliError(f"{path}:{first_no}: cannot parse {first[2:]!r} as a count") from None
-    if n < 1:
-        raise CliError(f"{path}:{first_no}: n must be at least 1, got {n}")
+    n = _parse_count(path, *rows[0])
     triples: list[tuple[int, int, float]] = []
     lines: list[int] = []
     for no, line in rows[1:]:
@@ -214,29 +320,19 @@ def _load_data(args):
         try:
             return sparse_from_triples(n, triples), lines
         except TripleValidationError as exc:
-            raise CliError(f"{args.input}:{lines[exc.triple_index]}: {exc}") from None
+            raise CliError(f"{_where(args.input, lines, exc.triple_index)}: {exc}") from None
     matrix, lines = load_csv_matrix(args.input, args.header)
-    if args.function == "feature-based":
-        neg = np.argwhere(~(matrix >= 0.0))
-        if neg.size:
-            r, c = neg[0]
-            raise CliError(
-                f"{args.input}:{lines[r]}: negative feature value {matrix[r, c]!r} in field "
-                f"{c + 1} (feature-based selection requires non-negative features)"
-            )
-    elif args.similarity == "precomputed":
-        if matrix.shape[0] != matrix.shape[1]:
-            raise CliError(
-                f"{args.input}: precomputed similarity matrix must be square, "
-                f"got {matrix.shape[0]} rows of {matrix.shape[1]} fields"
-            )
-        neg = np.argwhere(~(matrix >= 0.0))
-        if neg.size:
-            r, c = neg[0]
-            raise CliError(
-                f"{args.input}:{lines[r]}: negative similarity {matrix[r, c]!r} in field {c + 1}"
-            )
+    if args.similarity == "precomputed" and matrix.shape[0] != matrix.shape[1]:
+        raise CliError(
+            f"{args.input}: precomputed similarity matrix must be square, "
+            f"got {matrix.shape[0]} rows of {matrix.shape[1]} fields"
+        )
     return matrix, lines
+
+
+def _where(path: str, lines: Sequence[int], row: int | None) -> str:
+    """``path:line`` of data row ``row``, or just ``path`` when no row is known."""
+    return path if row is None else f"{path}:{lines[row]}"
 
 
 def _write_output(path: str, result) -> None:
@@ -265,8 +361,10 @@ def run(args) -> int:
     try:
         selector.fit(data)
     except DegenerateInputError as exc:
-        where = args.input if exc.row is None else f"{args.input}:{lines[exc.row]}"
-        raise CliError(f"{where}: {exc}") from None
+        raise CliError(f"{_where(args.input, lines, exc.row)}: {exc}") from None
+    except ConstraintViolationError as exc:
+        row = None if exc.position is None else exc.position[0]
+        raise CliError(f"{_where(args.input, lines, row)}: {exc}") from None
     except (InputError, IndexError) as exc:
         raise CliError(str(exc)) from None
     _write_output(args.output, selector.result_)

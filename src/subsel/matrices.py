@@ -33,7 +33,11 @@ __all__ = [
     "squared_correlation_similarity",
     "cosine_similarity",
     "sparse_from_triples",
+    "TRIPLE_DTYPE",
 ]
+
+#: Structured dtype of a triples array accepted by :func:`sparse_from_triples`.
+TRIPLE_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 
 def _as_2d_float(values, what: str) -> np.ndarray:
@@ -45,28 +49,38 @@ def _as_2d_float(values, what: str) -> np.ndarray:
     return arr
 
 
-def _first_negative(arr: np.ndarray) -> tuple[int, int] | None:
-    # NaN fails the >= 0 test as well, so it is caught here too.
-    ok = arr >= 0.0
-    if ok.all():
+def _first_invalid(arr: np.ndarray) -> tuple[int, ...] | None:
+    """Position of the first entry (row-major) that is not finite and >= 0, or None.
+
+    ``min`` is NaN when any entry is, so ``min >= 0`` rules out NaN and
+    negatives; +inf is then the only non-finite value left, which ``max``
+    finds. Two reductions cost about what one ``(arr >= 0).all()`` did.
+    """
+    if arr.min() >= 0.0 and arr.max() < np.inf:
         return None
-    r, c = np.unravel_index(int(np.argmin(ok)), arr.shape)
-    return int(r), int(c)
+    ok = (arr >= 0.0) & (arr < np.inf)
+    return tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), arr.shape))
+
+
+def _kind(value: float) -> str:
+    return "negative" if value < 0.0 else "non-finite"
 
 
 class FeatureMatrix:
     """Dense n x D matrix of non-negative feature values.
 
-    Rows are examples, columns are features. Every entry must be >= 0; this
-    is what makes the feature-based objective monotone.
+    Rows are examples, columns are features. Every entry must be finite and
+    >= 0; this is what makes the feature-based objective monotone (an inf
+    entry would turn gains into NaN).
     """
 
     def __init__(self, values):
         arr = _as_2d_float(values, "feature matrix")
-        pos = _first_negative(arr)
+        pos = _first_invalid(arr)
         if pos is not None:
             raise ConstraintViolationError(
-                f"feature values cannot be negative: value {arr[pos]!r} at row {pos[0]}, column {pos[1]}",
+                f"{_kind(arr[pos])} feature value {arr[pos]!r} at row {pos[0]}, column {pos[1]} "
+                "(features must be finite and non-negative)",
                 position=pos,
             )
         arr.setflags(write=False)
@@ -111,14 +125,15 @@ class SimilarityMatrix:
 
     @classmethod
     def from_dense(cls, values) -> "SimilarityMatrix":
-        """Wrap a dense square array. Entries must be >= 0; asymmetry is allowed."""
+        """Wrap a dense square array. Entries must be finite and >= 0; asymmetry is allowed."""
         arr = _as_2d_float(values, "similarity matrix")
         if arr.shape[0] != arr.shape[1]:
             raise InputError(f"similarity matrix must be square, got shape {arr.shape}")
-        pos = _first_negative(arr)
+        pos = _first_invalid(arr)
         if pos is not None:
             raise ConstraintViolationError(
-                f"similarity matrix must have non-negative entries: value {arr[pos]!r} at row {pos[0]}, column {pos[1]}",
+                f"{_kind(arr[pos])} similarity {arr[pos]!r} at row {pos[0]}, column {pos[1]} "
+                "(similarities must be finite and non-negative)",
                 position=pos,
             )
         arr.setflags(write=False)
@@ -177,14 +192,21 @@ class SimilarityMatrix:
 
 
 def _feature_values(data, what: str) -> np.ndarray:
-    """Accept a FeatureMatrix or any 2-D array-like.
+    """Accept a FeatureMatrix or any 2-D array-like of finite values.
 
     Similarity construction does not require non-negative inputs (only the
     resulting similarities must be non-negative), so raw arrays are allowed.
     """
     if isinstance(data, FeatureMatrix):
         return data.values
-    return _as_2d_float(data, what)
+    arr = _as_2d_float(data, what)
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        r, c = (int(i) for i in bad[0])
+        raise ConstraintViolationError(
+            f"non-finite value {arr[r, c]!r} in {what} at row {r}, column {c}", position=(r, c)
+        )
+    return arr
 
 
 def squared_correlation_similarity(data) -> SimilarityMatrix:
@@ -239,7 +261,7 @@ def cosine_similarity(data, clamp_negative: bool = False) -> SimilarityMatrix:
     if clamp_negative:
         sim = np.maximum(sim, 0.0)
     else:
-        pos = _first_negative(sim)
+        pos = _first_invalid(sim)
         if pos is not None:
             raise ConstraintViolationError(
                 f"cosine similarity is negative ({sim[pos]!r}) for rows {pos[0]} and {pos[1]}; "
@@ -249,51 +271,59 @@ def cosine_similarity(data, clamp_negative: bool = False) -> SimilarityMatrix:
     return SimilarityMatrix.from_dense(sim)
 
 
-def sparse_from_triples(n: int, triples: Iterable[Sequence]) -> SimilarityMatrix:
+def sparse_from_triples(n: int, triples: Iterable[Sequence] | np.ndarray) -> SimilarityMatrix:
     """Build a sparse SimilarityMatrix from (row, col, value) triples.
 
-    Indices must lie in [0, n), values must be >= 0, and no (row, col) pair
-    may repeat. Entries not listed are zero. Validation errors identify the
-    offending triple by its position in the input sequence.
+    ``triples`` is an iterable of 3-sequences or a structured array of
+    :data:`TRIPLE_DTYPE`. Indices must lie in [0, n), values must be finite
+    and >= 0, and no (row, col) pair may repeat. Entries not listed are zero.
+    Validation errors identify the first offending triple in input order by
+    its position in the input sequence; range and value errors take
+    precedence over duplicates.
     """
     if n < 1:
         raise DegenerateInputError(f"similarity matrix needs at least one example, got n={n}")
+    if not (isinstance(triples, np.ndarray) and triples.dtype == TRIPLE_DTYPE):
+        triples = _triple_array(triples)
+    rows, cols, vals = triples["row"], triples["col"], triples["value"]
+
+    bad_index = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
+    bad = bad_index | ~((vals >= 0.0) & (vals < np.inf))
+    if bad.any():
+        k = int(np.argmax(bad))
+        t = triples[k].item()
+        if bad_index[k]:
+            raise TripleValidationError(f"triple #{k} index out of range for n={n}: {t}", k, t)
+        raise TripleValidationError(f"triple #{k} has {_kind(t[2])} value: {t}", k, t)
+
+    order = np.lexsort((cols, rows))  # stable: equal pairs keep input order
+    rows_s, cols_s = rows[order], cols[order]
+    repeat = (rows_s[1:] == rows_s[:-1]) & (cols_s[1:] == cols_s[:-1])
+    if repeat.any():
+        k = int(order[1:][repeat].min())  # earliest later occurrence in input order
+        t = triples[k].item()
+        raise TripleValidationError(f"duplicate (row, col) pair in triple #{k}: {t}", k, t)
+
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    vals_s = vals[order]
+    for a in (indptr, cols_s, vals_s):
+        a.setflags(write=False)
+    return SimilarityMatrix(indptr=indptr, cols=cols_s, vals=vals_s, n=n)
+
+
+def _triple_array(triples: Iterable[Sequence]) -> np.ndarray:
+    """Convert an iterable of (row, col, value) sequences to a TRIPLE_DTYPE array."""
     triples = list(triples)
-    rows = np.empty(len(triples), dtype=np.int64)
-    cols = np.empty(len(triples), dtype=np.int64)
-    vals = np.empty(len(triples), dtype=np.float64)
+    out = np.empty(len(triples), dtype=TRIPLE_DTYPE)
     for k, t in enumerate(triples):
         try:
             i, j, v = t
-            rows[k], cols[k], vals[k] = int(i), int(j), float(v)
-        except (TypeError, ValueError) as exc:
-            raise TripleValidationError(f"malformed triple #{k}: {t!r} ({exc})", k, tuple(t) if hasattr(t, "__len__") else (t,)) from None
-        if not (0 <= rows[k] < n and 0 <= cols[k] < n):
+            out[k] = (int(i), int(j), float(v))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise TripleValidationError(
-                f"triple #{k} index out of range for n={n}: ({i}, {j}, {v})", k, (i, j, v)
-            )
-        if not vals[k] >= 0.0:
-            raise TripleValidationError(
-                f"triple #{k} has negative value: ({i}, {j}, {v})", k, (i, j, v)
-            )
-
-    order = np.lexsort((cols, rows))
-    rows_s, cols_s = rows[order], cols[order]
-    if len(triples) > 1:
-        dup = np.flatnonzero((np.diff(rows_s) == 0) & (np.diff(cols_s) == 0))
-        if dup.size:
-            k = int(order[dup[0] + 1])  # later occurrence in input order
-            raise TripleValidationError(
-                f"duplicate (row, col) pair in triple #{k}: ({rows[k]}, {cols[k]}, {vals[k]})",
+                f"malformed triple #{k}: {t!r} ({exc})",
                 k,
-                (int(rows[k]), int(cols[k]), float(vals[k])),
-            )
-
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, rows_s + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    cols_arr = cols_s.copy()
-    vals_arr = vals[order].copy()
-    for a in (indptr, cols_arr, vals_arr):
-        a.setflags(write=False)
-    return SimilarityMatrix(indptr=indptr, cols=cols_arr, vals=vals_arr, n=n)
+                tuple(t) if hasattr(t, "__len__") else (t,),
+            ) from None
+    return out

@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .exceptions import AlreadySelectedError, ConstraintViolationError, InputError
-from .matrices import FeatureMatrix, SimilarityMatrix
+from .matrices import FeatureMatrix, SimilarityMatrix, _first_invalid
 
 __all__ = [
     "Saturator",
@@ -270,10 +270,11 @@ def _feature_weights(weights, n_features: int) -> np.ndarray:
     w = np.array(weights, dtype=np.float64, copy=True).ravel()
     if w.shape[0] != n_features:
         raise InputError(f"expected {n_features} feature weights, got {w.shape[0]}")
-    if not (w >= 0.0).all():
-        bad = int(np.argmin(w >= 0.0))
+    pos = _first_invalid(w)
+    if pos is not None:
+        (bad,) = pos
         raise ConstraintViolationError(
-            f"feature weights must be non-negative: weight {w[bad]!r} at position {bad}",
+            f"feature weights must be finite and non-negative: weight {w[bad]!r} at position {bad}",
             position=(0, bad),
         )
     w.setflags(write=False)

@@ -16,6 +16,7 @@ from subsel import (
     sparse_from_triples,
     squared_correlation_similarity,
 )
+from subsel.matrices import TRIPLE_DTYPE
 from instances import sparse_and_dense
 
 
@@ -249,3 +250,63 @@ class TestCosine:
         rng = np.random.default_rng(5)
         S = cosine_similarity(rng.normal(size=(10, 4)), clamp_negative=True).to_dense()
         assert (S >= 0.0).all() and (S <= 1.0).all()
+
+
+class TestFiniteBoundary:
+    """Non-finite values are rejected where they enter, naming the first one."""
+
+    def test_feature_matrix_rejects_inf(self):
+        with pytest.raises(ConstraintViolationError, match="non-finite") as exc:
+            FeatureMatrix([[1.0, 2.0], [np.inf, 0.5]])
+        assert exc.value.position == (1, 0)
+
+    def test_first_bad_entry_in_row_major_order(self):
+        with pytest.raises(ConstraintViolationError, match="non-finite") as exc:
+            SimilarityMatrix.from_dense([[1.0, np.inf], [-1.0, 1.0]])
+        assert exc.value.position == (0, 1)
+        with pytest.raises(ConstraintViolationError, match="negative similarity") as exc:
+            SimilarityMatrix.from_dense([[1.0, -1.0], [np.inf, 1.0]])
+        assert exc.value.position == (0, 1)
+
+    @pytest.mark.parametrize("build", [squared_correlation_similarity, cosine_similarity])
+    def test_similarity_inputs_must_be_finite(self, build):
+        with pytest.raises(ConstraintViolationError) as exc:
+            build([[1.0, 2.0, 3.0], [1.0, np.nan, 4.0], [2.0, 1.0, np.inf]])
+        assert exc.value.position == (1, 1)
+
+    def test_triples_reject_inf(self):
+        with pytest.raises(TripleValidationError, match="non-finite") as exc:
+            sparse_from_triples(2, [(0, 0, 1.0), (1, 1, np.inf)])
+        assert exc.value.triple_index == 1
+
+    def test_first_offending_triple_in_input_order(self):
+        with pytest.raises(TripleValidationError, match="negative") as exc:
+            sparse_from_triples(2, [(0, 0, 1.0), (1, 1, -1.0), (0, 5, 1.0)])
+        assert exc.value.triple_index == 1
+        # Range and value errors win over an earlier duplicate.
+        with pytest.raises(TripleValidationError, match="out of range") as exc:
+            sparse_from_triples(2, [(0, 0, 1.0), (0, 0, 1.0), (0, 5, 1.0)])
+        assert exc.value.triple_index == 2
+        # Of two repeated pairs, the repeat that comes first in the input is named.
+        with pytest.raises(TripleValidationError, match="duplicate") as exc:
+            sparse_from_triples(2, [(1, 1, 1.0), (0, 0, 1.0), (1, 1, 2.0), (0, 0, 2.0)])
+        assert exc.value.triple_index == 2
+        assert exc.value.triple == (1, 1, 2.0)
+
+    def test_index_beyond_int64_is_malformed(self):
+        with pytest.raises(TripleValidationError) as exc:
+            sparse_from_triples(2, [(0, 0, 1.0), (2**70, 0, 1.0)])
+        assert exc.value.triple_index == 1
+
+    def test_structured_array_matches_tuples(self):
+        rng = np.random.default_rng(11)
+        dense, _ = sparse_and_dense(rng, 30)
+        rows, cols = np.nonzero(dense.to_dense())
+        order = rng.permutation(len(rows))
+        tuples = [(int(i), int(j), dense.lookup(int(i), int(j))) for i, j in zip(rows[order], cols[order])]
+        from_tuples = sparse_from_triples(30, tuples)
+        from_array = sparse_from_triples(30, np.array(tuples, dtype=TRIPLE_DTYPE))
+        for a, b in [(from_tuples._indptr, from_array._indptr), (from_tuples._cols, from_array._cols),
+                     (from_tuples._vals, from_array._vals)]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert np.array_equal(from_array.to_dense(), dense.to_dense())

@@ -306,3 +306,14 @@ class TestDiminishingReturns:
         gain_small, gain_large = _nested_gains(obj, rng, n)
         assert gain_small >= gain_large - 1e-9
         assert gain_small >= -1e-12 and gain_large >= -1e-12
+
+
+class TestNonFiniteInputs:
+    def test_inf_feature_is_rejected_not_turned_into_nan_gains(self):
+        with pytest.raises(ConstraintViolationError, match="non-finite"):
+            FeatureBasedObjective([[np.inf, 1.0], [1.0, 1.0]], "sqrt")
+
+    def test_inf_weight_is_rejected(self):
+        with pytest.raises(ConstraintViolationError) as exc:
+            FeatureBasedObjective(F2, "sqrt", weights=[1.0, np.inf])
+        assert exc.value.position == (0, 1)
