@@ -99,12 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="naive greedy rounds before switching to lazy greedy; the result is "
-        "identical for any value. Rough guidance: 50-500 works well for "
-        "feature-based selection, 1-50 for facility location (default 0, pure lazy)",
+        "identical for any value. Each naive round evaluates every remaining "
+        "candidate, so on typical data they cost more evaluations and time than "
+        "the lazy queue (default 0, pure lazy)",
     )
     p.add_argument("--initial", help="file of indices to force into the selection, one per line")
     p.add_argument("--output", required=True, help="output csv path (rank,index,gain)")
-    p.add_argument("--parallelism", type=int, default=1, help="threads for naive-round sweeps")
     p.add_argument("--verbose", action="store_true", help="progress records on stderr")
     return p
 
@@ -128,8 +128,6 @@ def _validate_flags(args) -> None:
         raise CliError("--header is only valid with --format csv")
     if args.naive_rounds < 0:
         raise CliError("--naive-rounds must be non-negative")
-    if args.parallelism < 1:
-        raise CliError("--parallelism must be at least 1")
 
 
 @contextmanager
@@ -305,7 +303,6 @@ def _build_selector(args):
     common = dict(
         naive_rounds=args.naive_rounds,
         initial=load_initial(args.initial) if args.initial else None,
-        parallelism=args.parallelism,
         verbose=args.verbose,
     )
     if args.function == "feature-based":

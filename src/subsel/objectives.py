@@ -124,10 +124,11 @@ class FeatureBasedState(ObjectiveState):
 class SubmodularObjective(ABC):
     """Contract every objective implements: new_state, gain, update.
 
-    ``gain`` must be a pure function of (state, v) so that any number of
-    candidates can be evaluated concurrently against one frozen state;
-    ``update`` requires exclusive access. New objectives subclass this and
-    implement exactly these three methods.
+    ``gain`` must be a pure function of (state, v): a naive sweep evaluates
+    every remaining candidate against one state, and the lazy queue relies on
+    a recomputed gain being identical to the one a sweep would give.
+    ``update`` mutates the state. New objectives subclass this and implement
+    exactly these three methods.
     """
 
     n_examples: int

@@ -6,22 +6,26 @@ Three strategies, all producing identical selections:
   takes the argmax (largest gain, then smallest index);
 * lazy greedy keeps stale gains as upper bounds in a max-priority queue and
   recomputes only entries that surface, exploiting that gains never grow;
-* the hybrid runs a configurable number of naive rounds first (those gain
-  sweeps parallelize trivially), then seeds the queue with the final naive
-  round's gains and finishes lazily.
+* the hybrid runs a configurable number of naive rounds first, then seeds
+  the queue with the final naive round's gains and finishes lazily.
 
 Lazy selection accepts a popped entry only when its bound was recomputed in
 the current iteration. That is stricter than the usual "recomputed gain beats
 the next bound" shortcut, which can diverge from naive greedy under ties;
 freshness costs an occasional extra pop and guarantees the two strategies
 select identical indices with bit-identical gains.
+
+Every gain the optimizer uses comes from one ``objective.gain`` call made
+through :func:`_gain`, which refuses a NaN or infinite value: a non-finite
+gain would otherwise be ranked silently by the argmax and the queue.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+import numbers
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -96,33 +100,35 @@ class CandidateQueue:
         return bool(self._heap)
 
 
-def _gain_many(objective, state, candidates, executor, workers):
-    """Gains of every candidate against one frozen state, in candidate order.
+def _check_budget(k, naive_rounds) -> tuple[int, int]:
+    """``(k, naive_rounds)`` as ints, or InputError naming the bad one.
 
-    With an executor, candidates are split into contiguous chunks evaluated
-    concurrently; gain() is a pure read so the chunking cannot change any
-    value, and the caller's argmax stays deterministic.
+    Both must be integers (numpy integers count, ``bool`` does not); ``k``
+    must be at least 1 and ``naive_rounds`` at least 0.
     """
-    if executor is None or len(candidates) < 2 * workers:
-        return [objective.gain(state, v) for v in candidates]
-    chunks = np.array_split(np.asarray(candidates), workers)
-    futures = [
-        executor.submit(lambda c: [objective.gain(state, v) for v in c], chunk)
-        for chunk in chunks
-        if len(chunk)
-    ]
-    gains: list[float] = []
-    for fut in futures:
-        gains.extend(fut.result())
-    return gains
+    for name, value, least in (("k", k, 1), ("naive_rounds", naive_rounds, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InputError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise InputError(f"{name} must be at least {least}, got {value}")
+    return int(k), int(naive_rounds)
+
+
+def _gain(objective: SubmodularObjective, state: ObjectiveState, v) -> float:
+    """The gain of ``v`` against ``state``; InputError when it is NaN or infinite."""
+    g = objective.gain(state, v)
+    if not math.isfinite(g):
+        raise InputError(
+            f"gain of candidate {v} at step {len(state.selected)} is {float(g)}; "
+            "gains must be finite"
+        )
+    return g
 
 
 def naive_greedy_step(
     objective: SubmodularObjective,
     state: ObjectiveState,
     candidates: Sequence[int],
-    executor: ThreadPoolExecutor | None = None,
-    workers: int = 1,
 ) -> tuple[int, float, list[float]]:
     """One naive round: evaluate every candidate, select the best, update.
 
@@ -133,7 +139,7 @@ def naive_greedy_step(
     """
     if not len(candidates):
         raise InputError("naive greedy step needs at least one candidate")
-    gains = _gain_many(objective, state, candidates, executor, workers)
+    gains = [_gain(objective, state, v) for v in candidates]
     best = int(np.argmax(gains))  # argmax keeps the first, i.e. smallest index
     chosen = int(candidates[best])
     objective.update(state, chosen)
@@ -164,7 +170,7 @@ def lazy_greedy_step(
             objective.update(state, index)
             return index, bound, evaluations
         evaluations += 1
-        queue.push(objective.gain(state, index), index, current_iter)
+        queue.push(_gain(objective, state, index), index, current_iter)
 
 
 def _print_progress(record: ProgressRecord) -> None:
@@ -180,28 +186,24 @@ def hybrid_maximize(
     k: int,
     naive_rounds: int = 0,
     initial: Iterable[int] | None = None,
-    parallelism: int = 1,
     progress: Callable[[ProgressRecord], None] | None = None,
 ) -> SelectionResult:
     """Select min(k, n) examples by greedy maximization of ``objective``.
 
     ``initial`` indices are applied first, in the caller's order, with each
     gain measured at the moment the index is applied. Then ``naive_rounds``
-    naive rounds run (gain sweeps split across ``parallelism`` threads),
-    and lazy greedy finishes the budget. The outcome is identical for every
-    choice of ``naive_rounds`` and ``parallelism``; they only trade time.
+    naive rounds run and lazy greedy finishes the budget. The outcome is
+    identical for every choice of ``naive_rounds``; it only trades time.
     ``naive_rounds=0`` is pure lazy, ``naive_rounds >= k`` pure naive.
+
+    Raises InputError for a ``k`` or ``naive_rounds`` that is not an integer
+    in range, and for a gain that is NaN or infinite.
 
     When ``progress`` is given it receives one ProgressRecord per selection.
     """
+    k, naive_rounds = _check_budget(k, naive_rounds)
     n = objective.n_examples
-    if k < 1:
-        raise InputError(f"k must be at least 1, got {k}")
-    if naive_rounds < 0:
-        raise InputError(f"naive_rounds must be non-negative, got {naive_rounds}")
-    if parallelism < 1:
-        raise InputError(f"parallelism must be at least 1, got {parallelism}")
-    target = min(int(k), n)
+    target = min(k, n)
 
     initial = [int(i) for i in initial] if initial is not None else []
     if len(set(initial)) != len(initial):
@@ -229,7 +231,7 @@ def hybrid_maximize(
             progress(ProgressRecord(len(ranking) - 1, index, gain, cumulative, evaluations))
 
     for v in initial:
-        g = objective.gain(state, v)
+        g = _gain(objective, state, v)
         evaluations += 1
         objective.update(state, v)
         record(v, g)
@@ -239,23 +241,14 @@ def hybrid_maximize(
 
     rounds = min(naive_rounds, target - len(ranking))
     last_sweep: list[float] | None = None
-    executor = None
-    try:
-        if parallelism > 1 and rounds > 0:
-            executor = ThreadPoolExecutor(max_workers=parallelism)
-        for _ in range(rounds):
-            chosen, gain, sweep = naive_greedy_step(
-                objective, state, remaining, executor, parallelism
-            )
-            evaluations += len(remaining)
-            pos = int(np.searchsorted(remaining, chosen))
-            remaining = np.delete(remaining, pos)
-            sweep.pop(pos)
-            last_sweep = sweep
-            record(chosen, gain)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for _ in range(rounds):
+        chosen, gain, sweep = naive_greedy_step(objective, state, remaining)
+        evaluations += len(remaining)
+        pos = int(np.searchsorted(remaining, chosen))
+        remaining = np.delete(remaining, pos)
+        sweep.pop(pos)
+        last_sweep = sweep
+        record(chosen, gain)
 
     if len(ranking) < target:
         queue = CandidateQueue()

@@ -25,7 +25,7 @@ from .matrices import (
     squared_correlation_similarity,
 )
 from .objectives import FacilityLocationObjective, FeatureBasedObjective, SubmodularObjective
-from .optimizer import SelectionResult, _print_progress, hybrid_maximize
+from .optimizer import SelectionResult, _check_budget, _print_progress, hybrid_maximize
 
 __all__ = ["BaseSelector", "FacilityLocationSelector", "FeatureBasedSelector"]
 
@@ -40,13 +40,11 @@ class BaseSelector:
     k : int
         Number of examples to select (capped at the dataset size).
     naive_rounds : int
-        Rounds of parallel naive greedy to run before switching to the lazy
-        algorithm. The selection is identical for every value; see the
-        optimizer docs for speed guidance.
+        Rounds of naive greedy to run before switching to the lazy
+        algorithm. The selection is identical for every value; the default
+        (0, pure lazy) is usually fastest.
     initial : sequence of int, optional
         Indices forced into the selection first, in the given order.
-    parallelism : int
-        Worker threads for the naive-round gain sweeps.
     verbose : bool
         Emit one progress record per selected example to ``progress`` (or to
         stderr when no sink is given).
@@ -60,20 +58,11 @@ class BaseSelector:
         k: int,
         naive_rounds: int = 0,
         initial: Iterable[int] | None = None,
-        parallelism: int = 1,
         verbose: bool = False,
         progress=None,
     ):
-        if int(k) != k or k < 1:
-            raise InputError(f"k must be a positive integer, got {k!r}")
-        if naive_rounds < 0:
-            raise InputError(f"naive_rounds must be non-negative, got {naive_rounds}")
-        if parallelism < 1:
-            raise InputError(f"parallelism must be at least 1, got {parallelism}")
-        self.k = int(k)
-        self.naive_rounds = int(naive_rounds)
+        self.k, self.naive_rounds = _check_budget(k, naive_rounds)
         self.initial = list(initial) if initial is not None else None
-        self.parallelism = int(parallelism)
         self.verbose = bool(verbose)
         self.progress = progress
         self.result_: SelectionResult | None = None
@@ -93,7 +82,6 @@ class BaseSelector:
             self.k,
             naive_rounds=self.naive_rounds,
             initial=self.initial,
-            parallelism=self.parallelism,
             progress=sink,
         )
         self._n_fitted = objective.n_examples

@@ -4,6 +4,11 @@ import numpy as np
 
 from subsel import SimilarityMatrix, sparse_from_triples
 
+# Values the optimizer and every selector must refuse as ``k`` or as
+# ``naive_rounds``: out of range, fractional, bool, numpy float, string.
+BAD_K = [0, -1, 2.5, True, np.float64(2.0), "3"]
+BAD_NAIVE_ROUNDS = [-1, 1.5, True]
+
 
 def rand_features(rng, n, d):
     """Uniform non-negative feature matrix."""

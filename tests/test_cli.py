@@ -231,7 +231,6 @@ class TestFlagValidation:
           "--format", "triples"], "precomputed"),
         (["--function", "feature-based", "--k", "0"], "--k"),
         (["--function", "feature-based", "--k", "1", "--naive-rounds", "-1"], "--naive-rounds"),
-        (["--function", "feature-based", "--k", "1", "--parallelism", "0"], "--parallelism"),
     ]
 
     @pytest.mark.parametrize("args,needle", CASES)
@@ -240,6 +239,15 @@ class TestFlagValidation:
         assert code == 1
         assert needle in capsys.readouterr().err
         assert not out.exists()
+
+    def test_parallelism_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                tmp_path, "--function", "feature-based", "--k", "1", "--parallelism", "2",
+                input_text=F2_CSV,
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --parallelism" in capsys.readouterr().err
 
     def test_header_requires_csv_format(self, tmp_path, capsys):
         code, _ = run_cli(
@@ -327,7 +335,7 @@ class TestOutputContract:
         rng = np.random.default_rng(127)
         text = "\n".join(",".join(f"{v:.12f}" for v in row) for row in rng.uniform(size=(40, 6)))
         outputs = set()
-        for extra in ([], ["--naive-rounds", "3"], ["--naive-rounds", "3", "--parallelism", "4"]):
+        for extra in ([], ["--naive-rounds", "3"], ["--naive-rounds", "10"]):
             code, out = run_cli(
                 tmp_path, "--function", "feature-based", "--k", "10", *extra,
                 input_text=text,

@@ -1,6 +1,7 @@
 """Greedy strategies: equivalence, tie-breaking, evaluation counts, hybrid knobs."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from subsel import (
     hybrid_maximize,
     lazy_greedy_step,
     naive_greedy_step,
+    sparse_from_triples,
 )
-from instances import rand_features, rand_similarity
+from instances import BAD_K, BAD_NAIVE_ROUNDS, rand_features, rand_similarity
 
 S3 = SimilarityMatrix.from_dense([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
 
@@ -181,7 +183,7 @@ class TestEvaluationCounts:
 
 
 class TestHybridKnobs:
-    def test_rankings_invariant_across_rounds_and_parallelism(self):
+    def test_rankings_invariant_across_rounds(self):
         rng = np.random.default_rng(47)
         S = rand_similarity(rng, 50)
         F = rand_features(rng, 50, 8)
@@ -190,9 +192,8 @@ class TestHybridKnobs:
             lambda: FeatureBasedObjective(F),
         ):
             results = [
-                hybrid_maximize(factory(), 10, naive_rounds=rounds, parallelism=par)
+                hybrid_maximize(factory(), 10, naive_rounds=rounds)
                 for rounds in (0, 1, 2, 5, 10)
-                for par in (1, 3)
             ]
             assert len({r.ranking for r in results}) == 1
             assert len({r.gains for r in results}) == 1
@@ -203,6 +204,85 @@ class TestHybridKnobs:
         mixed = hybrid_maximize(obj, 8, naive_rounds=3)
         pure = hybrid_maximize(obj, 8)
         assert mixed.ranking == pure.ranking
+
+
+def _tied_rows(rng, n, width, prototypes=4, high=3):
+    """``n`` rows of small integers drawn from a few prototype rows, so rows
+    repeat and many gains tie exactly."""
+    protos = rng.integers(0, high + 1, size=(prototypes, width))
+    return protos[rng.integers(0, prototypes, size=n)].astype(np.float64)
+
+
+def _one_answer(results):
+    """Every result has the same ranking and bit-identical gains."""
+    return (
+        len({r.ranking for r in results}) == 1
+        and len({np.array(r.gains).tobytes() for r in results}) == 1
+    )
+
+
+class TestTieHeavyInvariance:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_naive_rounds_keep_feature_based_answer(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        k = int(rng.integers(1, n + 1))
+        F = _tied_rows(rng, n, 4)
+        results = [
+            hybrid_maximize(FeatureBasedObjective(F), k, naive_rounds=rounds)
+            for rounds in (0, 1, k)
+        ]
+        assert _one_answer(results)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_naive_rounds_and_storage_keep_facility_location_answer(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        k = int(rng.integers(1, n + 1))
+        S = _tied_rows(rng, n, n)
+        dense = SimilarityMatrix.from_dense(S)
+        sparse = sparse_from_triples(
+            n, [(int(i), int(j), float(S[i, j])) for i, j in np.argwhere(S != 0.0)]
+        )
+        results = [
+            hybrid_maximize(FacilityLocationObjective(matrix), k, naive_rounds=rounds)
+            for matrix in (dense, sparse)
+            for rounds in (0, 1, k)
+        ]
+        assert _one_answer(results)
+
+
+def _overflowing():
+    # Selecting 0 brings the feature sum to 1e308; adding 1 then overflows
+    # it, so the gain of 1 is sqrt(inf) - 1e154 = inf.
+    return FeatureBasedObjective([[1e308], [1e308], [1.0]])
+
+
+def _nan_once_one_is_selected():
+    return FunctionObjective(lambda X: math.nan if 1 in X else float(len(X)), 3)
+
+
+class TestNonFiniteGains:
+    """A NaN or infinite gain stops the run, naming the candidate and the step."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "factory,kwargs,message",
+        [
+            (_overflowing, {}, "candidate 1 at step 1 is inf"),
+            (_overflowing, {"naive_rounds": 3}, "candidate 1 at step 1 is inf"),
+            (_overflowing, {"initial": [0, 1]}, "candidate 1 at step 1 is inf"),
+            (_nan_once_one_is_selected, {}, "candidate 1 at step 0 is nan"),
+            (_nan_once_one_is_selected, {"naive_rounds": 3}, "candidate 1 at step 0 is nan"),
+            (_nan_once_one_is_selected, {"initial": [0, 1]}, "candidate 1 at step 1 is nan"),
+        ],
+        ids=["inf-lazy", "inf-naive", "inf-initial", "nan-lazy", "nan-naive", "nan-initial"],
+    )
+    def test_run_refuses_non_finite_gain(self, factory, kwargs, message):
+        with pytest.raises(InputError, match=message):
+            hybrid_maximize(factory(), 3, **kwargs)
 
 
 class TestInitialSelection:
@@ -258,15 +338,17 @@ class TestBudgetEdges:
 
     def test_k_must_be_positive(self):
         obj = modular_objective([1.0])
-        with pytest.raises(InputError):
-            hybrid_maximize(obj, k=0)
+        for k in BAD_K:
+            with pytest.raises(InputError, match="^k must"):
+                hybrid_maximize(obj, k=k)
+        assert hybrid_maximize(obj, k=np.int64(3)).ranking == (0,)
 
     def test_knob_validation(self):
         obj = modular_objective([1.0, 2.0])
-        with pytest.raises(InputError):
-            hybrid_maximize(obj, k=1, naive_rounds=-1)
-        with pytest.raises(InputError):
-            hybrid_maximize(obj, k=1, parallelism=0)
+        for rounds in BAD_NAIVE_ROUNDS:
+            with pytest.raises(InputError, match="^naive_rounds must"):
+                hybrid_maximize(obj, k=1, naive_rounds=rounds)
+        assert hybrid_maximize(obj, k=2, naive_rounds=np.int64(1)).ranking == (1, 0)
 
 
 class TestResultShape:
@@ -283,8 +365,8 @@ class TestResultShape:
     def test_deterministic_across_repeat_runs(self):
         rng = np.random.default_rng(61)
         F = rand_features(rng, 50, 6)
-        first = hybrid_maximize(FeatureBasedObjective(F), 10, naive_rounds=2, parallelism=3)
-        second = hybrid_maximize(FeatureBasedObjective(F), 10, naive_rounds=2, parallelism=3)
+        first = hybrid_maximize(FeatureBasedObjective(F), 10, naive_rounds=2)
+        second = hybrid_maximize(FeatureBasedObjective(F), 10, naive_rounds=2)
         assert first == second
 
 

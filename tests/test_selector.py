@@ -14,7 +14,7 @@ from subsel import (
     hybrid_maximize,
     squared_correlation_similarity,
 )
-from instances import rand_features, rand_similarity
+from instances import BAD_K, BAD_NAIVE_ROUNDS, rand_features, rand_similarity
 
 S3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
 
@@ -157,23 +157,25 @@ class TestDataKinds:
 
 class TestConstructorValidation:
     def test_k_must_be_positive_integer(self):
-        for bad in (0, -1, 2.5):
-            with pytest.raises(InputError):
-                FeatureBasedSelector(bad)
+        for cls in (FeatureBasedSelector, FacilityLocationSelector):
+            for bad in BAD_K:
+                with pytest.raises(InputError, match="^k must"):
+                    cls(bad)
+            assert type(cls(np.int64(3)).k) is int
 
     def test_knob_validation(self):
-        with pytest.raises(InputError):
-            FeatureBasedSelector(1, naive_rounds=-1)
-        with pytest.raises(InputError):
-            FeatureBasedSelector(1, parallelism=0)
+        for cls in (FeatureBasedSelector, FacilityLocationSelector):
+            for bad in BAD_NAIVE_ROUNDS:
+                with pytest.raises(InputError, match="^naive_rounds must"):
+                    cls(1, naive_rounds=bad)
+            assert type(cls(1, naive_rounds=np.int64(2)).naive_rounds) is int
 
     def test_knobs_do_not_change_the_selection(self):
         rng = np.random.default_rng(97)
         X = rand_features(rng, 40, 6)
         rankings = {
-            FeatureBasedSelector(8, naive_rounds=r, parallelism=p).fit(X).ranking_
-            for r in (0, 2, 8)
-            for p in (1, 3)
+            FeatureBasedSelector(8, naive_rounds=r).fit(X).ranking_
+            for r in (0, 1, 2, 8)
         }
         assert len(rankings) == 1
 
