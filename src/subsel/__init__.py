@@ -34,8 +34,6 @@ from .objectives import (
     FunctionObjective,
     Saturator,
     SubmodularObjective,
-    facility_location_eval,
-    feature_based_eval,
 )
 from .optimizer import (
     CandidateQueue,
@@ -45,6 +43,7 @@ from .optimizer import (
     lazy_greedy_step,
     naive_greedy_step,
 )
+from .oracle import facility_location_eval, feature_based_eval
 from .selector import BaseSelector, FacilityLocationSelector, FeatureBasedSelector
 
 __version__ = "0.1.0"

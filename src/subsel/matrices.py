@@ -71,7 +71,10 @@ class FeatureMatrix:
 
     Rows are examples, columns are features. Every entry must be finite and
     >= 0; this is what makes the feature-based objective monotone (an inf
-    entry would turn gains into NaN).
+    entry would turn gains into NaN). Every column must also sum to a finite
+    value, so no selection's accumulated feature mass can overflow to inf;
+    a column that does not is reported at the first row where its running
+    sum overflows.
     """
 
     def __init__(self, values):
@@ -83,6 +86,14 @@ class FeatureMatrix:
                 "(features must be finite and non-negative)",
                 position=pos,
             )
+        with np.errstate(over="ignore"):
+            if arr.sum(axis=0).max() == np.inf:
+                running = np.cumsum(arr, axis=0)
+                row, col = np.unravel_index(int(np.argmax(running == np.inf)), arr.shape)
+                raise ConstraintViolationError(
+                    f"feature column {col} sum overflows at row {row} (column sums must be finite)",
+                    position=(int(row), int(col)),
+                )
         arr.setflags(write=False)
         self._values = arr
 
@@ -181,9 +192,7 @@ class SimilarityMatrix:
         if self._dense is not None:
             return self._dense.copy()
         out = np.zeros((self._n, self._n))
-        for i in range(self._n):
-            cols, vals = self.row(i)
-            out[i, cols] = vals
+        out[np.repeat(np.arange(self._n), np.diff(self._indptr)), self._cols] = self._vals
         return out
 
     def __repr__(self):

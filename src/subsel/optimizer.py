@@ -100,18 +100,30 @@ class CandidateQueue:
         return bool(self._heap)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, or InputError naming ``name``; numpy integers count, ``bool`` does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_budget(k, naive_rounds) -> tuple[int, int]:
     """``(k, naive_rounds)`` as ints, or InputError naming the bad one.
 
-    Both must be integers (numpy integers count, ``bool`` does not); ``k``
-    must be at least 1 and ``naive_rounds`` at least 0.
+    Both must be integers (see :func:`_integer`); ``k`` must be at least 1
+    and ``naive_rounds`` at least 0.
     """
     for name, value, least in (("k", k, 1), ("naive_rounds", naive_rounds, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InputError(f"{name} must be an integer, got {value!r}")
-        if value < least:
+        if _integer(name, value) < least:
             raise InputError(f"{name} must be at least {least}, got {value}")
     return int(k), int(naive_rounds)
+
+
+def _check_initial(initial: Iterable[int] | None) -> list[int] | None:
+    """``initial`` as a list of ints, or InputError for an index that is not an integer."""
+    if initial is None:
+        return None
+    return [_integer("initial index", i) for i in initial]
 
 
 def _gain(objective: SubmodularObjective, state: ObjectiveState, v) -> float:
@@ -196,8 +208,8 @@ def hybrid_maximize(
     identical for every choice of ``naive_rounds``; it only trades time.
     ``naive_rounds=0`` is pure lazy, ``naive_rounds >= k`` pure naive.
 
-    Raises InputError for a ``k`` or ``naive_rounds`` that is not an integer
-    in range, and for a gain that is NaN or infinite.
+    Raises InputError for a ``k``, ``naive_rounds`` or ``initial`` index
+    that is not an integer in range, and for a gain that is NaN or infinite.
 
     When ``progress`` is given it receives one ProgressRecord per selection.
     """
@@ -205,7 +217,7 @@ def hybrid_maximize(
     n = objective.n_examples
     target = min(k, n)
 
-    initial = [int(i) for i in initial] if initial is not None else []
+    initial = _check_initial(initial) or []
     if len(set(initial)) != len(initial):
         raise InputError("initial indices must be distinct")
     for i in initial:

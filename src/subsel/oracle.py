@@ -1,10 +1,11 @@
-"""Brute-force reference implementations for tests and acceptance checks.
+"""From-scratch reference evaluators and the approximation-ratio check.
 
-Everything here evaluates objectives from scratch, straight from their
-definitions, in plain Python. None of it touches the incremental
-gain/update machinery in :mod:`subsel.objectives`; that independence is the
-point, since these functions are the yardstick the fast paths are measured
-against.
+The two evaluators compute an objective's value straight from its
+definition, with whole-array numpy over the selected rows. They share no
+code with the incremental gain/update machinery in :mod:`subsel.objectives`;
+that independence is the point, since they are the yardstick the fast paths
+are measured against (brute force, telescoping checks, the benchmark's
+prefix gate).
 """
 
 from __future__ import annotations
@@ -12,18 +13,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
+
+import numpy as np
 
 from .exceptions import ApproximationFailure, EnumerationBoundError, InputError
 from .matrices import FeatureMatrix, SimilarityMatrix
-from .objectives import SubmodularObjective
 from .optimizer import hybrid_maximize
+
+if TYPE_CHECKING:
+    from .objectives import SubmodularObjective
 
 __all__ = [
     "GREEDY_GUARANTEE",
     "OracleReport",
-    "facility_location_direct",
-    "feature_based_direct",
+    "facility_location_eval",
+    "feature_based_eval",
     "brute_force_max",
     "check_ratio",
 ]
@@ -32,51 +37,55 @@ GREEDY_GUARANTEE = 1.0 - math.exp(-1.0)
 
 ENUMERATION_LIMIT = 10_000_000
 
+_CONCAVE = {"sqrt": np.sqrt, "log": np.log1p}
 
-def facility_location_direct(S: SimilarityMatrix, X: Iterable[int]) -> float:
-    """Facility-location value of X, term by term: sum over every element of
-    its best similarity to X. Empty X is worth 0."""
-    sel = sorted(set(int(x) for x in X))
+
+def _indices(X: Iterable[int], n: int) -> np.ndarray:
+    """The distinct indices of X, ascending; InputError for one that is not an
+    integer (``bool`` included), IndexError for one outside [0, n)."""
+    idx = np.asarray(list(X))
+    if idx.size and idx.dtype.kind not in "iu":
+        raise InputError(f"indices must be integers, got {idx.tolist()!r}")
+    idx = np.unique(idx.astype(np.int64))
+    if idx.size and (idx[0] < 0 or idx[-1] >= n):
+        bad = idx[0] if idx[0] < 0 else idx[-1]
+        raise IndexError(f"index {bad} out of range for {n} examples")
+    return idx
+
+
+def facility_location_eval(S: SimilarityMatrix, X: Iterable[int]) -> float:
+    """Facility-location value of X: sum over every element of its best
+    similarity to X. Empty X is worth 0. Sparse storage is read through the
+    CSR rows of X only."""
     n = S.n_examples
-    for x in sel:
-        if not 0 <= x < n:
-            raise IndexError(f"index {x} out of range for {n} examples")
-    total = 0.0
-    for y in range(n):
-        best = 0.0
-        for x in sel:
-            s = S.lookup(x, y)
-            if s > best:
-                best = s
-        total += best
-    return total
+    idx = _indices(X, n)
+    if not S.is_sparse:
+        return float(S._dense[idx].max(axis=0, initial=0.0).sum())
+    starts = S._indptr[idx]
+    counts = S._indptr[idx + 1] - starts
+    entries = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    best = np.zeros(n)
+    np.maximum.at(best, S._cols[entries], S._vals[entries])
+    return float(best.sum())
 
 
-def feature_based_direct(F: FeatureMatrix, X: Iterable[int], concave="sqrt", weights=None) -> float:
-    """Feature-based value of X: per feature, saturate the accumulated mass
-    and weight it. Empty X is worth 0."""
-    if concave == "sqrt":
-        phi = math.sqrt
-    elif concave == "log":
-        phi = math.log1p
-    elif callable(concave):
-        phi = concave
-    else:
-        raise InputError(f"unknown saturator {concave!r}")
-    sel = sorted(set(int(x) for x in X))
-    n, d = F.n_examples, F.n_features
-    for x in sel:
-        if not 0 <= x < n:
-            raise IndexError(f"index {x} out of range for {n} examples")
-    if weights is None:
-        weights = [1.0] * d
-    total = 0.0
-    for j in range(d):
-        mass = 0.0
-        for x in sel:
-            mass += float(F.values[x, j])
-        total += float(weights[j]) * phi(mass)
-    return total
+def feature_based_eval(F: FeatureMatrix, weights, concave, X: Iterable[int]) -> float:
+    """Feature-based value of X: sum over features d of w_d * phi(mass of d over X).
+
+    ``concave`` is "sqrt", "log" (t -> ln(1 + t)) or a callable applied to
+    the array of feature masses; ``weights`` (one finite, non-negative value
+    per feature) default to all ones. Empty X is worth 0.
+    """
+    phi = concave if callable(concave) else _CONCAVE.get(concave)
+    if phi is None:
+        raise InputError(f"unknown concave function {concave!r}; expected one of {sorted(_CONCAVE)}")
+    if not isinstance(F, FeatureMatrix):
+        F = FeatureMatrix(F)
+    mass = F.values[_indices(X, F.n_examples)].sum(axis=0)
+    w = np.ones(F.n_features) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != (F.n_features,) or not np.all((w >= 0.0) & (w < np.inf)):
+        raise InputError(f"weights must be {F.n_features} finite non-negative values, got {weights!r}")
+    return float(np.sum(w * phi(mass)))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,13 @@ from .matrices import (
     squared_correlation_similarity,
 )
 from .objectives import FacilityLocationObjective, FeatureBasedObjective, SubmodularObjective
-from .optimizer import SelectionResult, _check_budget, _print_progress, hybrid_maximize
+from .optimizer import (
+    SelectionResult,
+    _check_budget,
+    _check_initial,
+    _print_progress,
+    hybrid_maximize,
+)
 
 __all__ = ["BaseSelector", "FacilityLocationSelector", "FeatureBasedSelector"]
 
@@ -44,7 +50,8 @@ class BaseSelector:
         algorithm. The selection is identical for every value; the default
         (0, pure lazy) is usually fastest.
     initial : sequence of int, optional
-        Indices forced into the selection first, in the given order.
+        Indices forced into the selection first, in the given order. Each
+        must be an integer (numpy integers count, ``bool`` does not).
     verbose : bool
         Emit one progress record per selected example to ``progress`` (or to
         stderr when no sink is given).
@@ -62,7 +69,7 @@ class BaseSelector:
         progress=None,
     ):
         self.k, self.naive_rounds = _check_budget(k, naive_rounds)
-        self.initial = list(initial) if initial is not None else None
+        self.initial = _check_initial(initial)
         self.verbose = bool(verbose)
         self.progress = progress
         self.result_: SelectionResult | None = None

@@ -8,6 +8,10 @@ from subsel import SimilarityMatrix, sparse_from_triples
 # ``naive_rounds``: out of range, fractional, bool, numpy float, string.
 BAD_K = [0, -1, 2.5, True, np.float64(2.0), "3"]
 BAD_NAIVE_ROUNDS = [-1, 1.5, True]
+# Index lists the optimizer and every selector must refuse as ``initial``, and
+# the oracle's evaluators as a set: each holds one index that is not an
+# integer (float, bool, numpy float, string).
+BAD_INITIAL = [[0.7], [True], [np.float64(1.0)], ["1"]]
 
 
 def rand_features(rng, n, d):

@@ -22,15 +22,12 @@ from subsel import (
     FeatureBasedObjective,
     FeatureMatrix,
     SimilarityMatrix,
+    facility_location_eval,
+    feature_based_eval,
     hybrid_maximize,
     sparse_from_triples,
 )
-from subsel.oracle import (
-    GREEDY_GUARANTEE,
-    brute_force_max,
-    facility_location_direct,
-    feature_based_direct,
-)
+from subsel.oracle import GREEDY_GUARANTEE, brute_force_max
 
 
 def _report(capsys, num, name, ok, detail):
@@ -52,13 +49,13 @@ def _equivalence_runs():
         obj = FeatureBasedObjective(F)
         lazy = hybrid_maximize(obj, EQ_K)
         naive = hybrid_maximize(obj, EQ_K, naive_rounds=EQ_K)
-        runs.append(("feature-based", lazy, naive, feature_based_direct(F, lazy.ranking)))
+        runs.append(("feature-based", lazy, naive, feature_based_eval(F, None, "sqrt", lazy.ranking)))
 
         S = SimilarityMatrix.from_dense(rng.uniform(size=(EQ_N, EQ_N)))
         obj = FacilityLocationObjective(S)
         lazy = hybrid_maximize(obj, EQ_K)
         naive = hybrid_maximize(obj, EQ_K, naive_rounds=EQ_K)
-        runs.append(("facility-location", lazy, naive, facility_location_direct(S, lazy.ranking)))
+        runs.append(("facility-location", lazy, naive, facility_location_eval(S, lazy.ranking)))
     return runs
 
 
@@ -69,7 +66,7 @@ def _guarantee_runs():
     runs = []
     for _ in range(50):
         F = FeatureMatrix(rng.uniform(size=(10, 5)))
-        fdirect = lambda X, F=F: feature_based_direct(F, X)
+        fdirect = lambda X, F=F: feature_based_eval(F, None, "sqrt", X)
         res = hybrid_maximize(FeatureBasedObjective(F), 3)
         opt_value, _ = brute_force_max(fdirect, 10, 3)
         greedy_value = fdirect(res.ranking)
@@ -77,7 +74,7 @@ def _guarantee_runs():
         runs.append(("feature-based", res, greedy_value, ratio))
 
         S = SimilarityMatrix.from_dense(rng.uniform(size=(10, 10)))
-        sdirect = lambda X, S=S: facility_location_direct(S, X)
+        sdirect = lambda X, S=S: facility_location_eval(S, X)
         res = hybrid_maximize(FacilityLocationObjective(S), 3)
         opt_value, _ = brute_force_max(sdirect, 10, 3)
         greedy_value = sdirect(res.ranking)

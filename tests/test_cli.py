@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,19 @@ class TestFeatureBased:
         assert code == 1
         err = capsys.readouterr().err
         assert "in.csv:2" in err and "non-negative" in err
+        assert not out.exists()
+
+    def test_overflowing_column_sum_names_file_and_line(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow RuntimeWarning would raise
+            code, out = run_cli(
+                tmp_path, "--function", "feature-based", "--k", "3",
+                input_text="1e308\n1e308\n1\n",
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "in.csv:2:" in err and "column sums must be finite" in err
+        assert "RuntimeWarning" not in err
         assert not out.exists()
 
 

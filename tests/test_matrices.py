@@ -1,5 +1,7 @@
 """Data containers and similarity construction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,15 @@ class TestFeatureMatrix:
     def test_rejects_nan(self):
         with pytest.raises(ConstraintViolationError):
             FeatureMatrix([[1.0, np.nan]])
+
+    def test_rejects_column_sum_that_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstraintViolationError, match="column sums must be finite") as exc:
+                FeatureMatrix([[1.0, 1e308], [2.0, 1e308], [3.0, 1.0]])
+            assert FeatureMatrix([[1e308], [7e307]]).n_examples == 2
+        # The first row at which the running sum of a column is no longer finite.
+        assert exc.value.position == (1, 1)
 
     def test_rejects_wrong_ndim(self):
         with pytest.raises(InputError):

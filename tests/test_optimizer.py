@@ -22,7 +22,7 @@ from subsel import (
     naive_greedy_step,
     sparse_from_triples,
 )
-from instances import BAD_K, BAD_NAIVE_ROUNDS, rand_features, rand_similarity
+from instances import BAD_INITIAL, BAD_K, BAD_NAIVE_ROUNDS, rand_features, rand_similarity
 
 S3 = SimilarityMatrix.from_dense([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
 
@@ -254,10 +254,11 @@ class TestTieHeavyInvariance:
         assert _one_answer(results)
 
 
-def _overflowing():
-    # Selecting 0 brings the feature sum to 1e308; adding 1 then overflows
-    # it, so the gain of 1 is sqrt(inf) - 1e154 = inf.
-    return FeatureBasedObjective([[1e308], [1e308], [1.0]])
+def _inf_with_0_and_1():
+    # Every gain from the empty set is 1, so 0 is picked first; then the
+    # gain of 1 is inf - 1 = inf. (Feature sums that overflow are refused
+    # by FeatureMatrix before a run starts.)
+    return FunctionObjective(lambda X: math.inf if {0, 1} <= set(X) else float(len(X)), 3)
 
 
 def _nan_once_one_is_selected():
@@ -267,13 +268,12 @@ def _nan_once_one_is_selected():
 class TestNonFiniteGains:
     """A NaN or infinite gain stops the run, naming the candidate and the step."""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize(
         "factory,kwargs,message",
         [
-            (_overflowing, {}, "candidate 1 at step 1 is inf"),
-            (_overflowing, {"naive_rounds": 3}, "candidate 1 at step 1 is inf"),
-            (_overflowing, {"initial": [0, 1]}, "candidate 1 at step 1 is inf"),
+            (_inf_with_0_and_1, {}, "candidate 1 at step 1 is inf"),
+            (_inf_with_0_and_1, {"naive_rounds": 3}, "candidate 1 at step 1 is inf"),
+            (_inf_with_0_and_1, {"initial": [0, 1]}, "candidate 1 at step 1 is inf"),
             (_nan_once_one_is_selected, {}, "candidate 1 at step 0 is nan"),
             (_nan_once_one_is_selected, {"naive_rounds": 3}, "candidate 1 at step 0 is nan"),
             (_nan_once_one_is_selected, {"initial": [0, 1]}, "candidate 1 at step 1 is nan"),
@@ -349,6 +349,10 @@ class TestBudgetEdges:
             with pytest.raises(InputError, match="^naive_rounds must"):
                 hybrid_maximize(obj, k=1, naive_rounds=rounds)
         assert hybrid_maximize(obj, k=2, naive_rounds=np.int64(1)).ranking == (1, 0)
+        for initial in BAD_INITIAL:
+            with pytest.raises(InputError, match="^initial index must be an integer"):
+                hybrid_maximize(obj, k=2, initial=initial)
+        assert hybrid_maximize(obj, k=2, initial=[np.int64(0)]).ranking == (0, 1)
 
 
 class TestResultShape:

@@ -1,4 +1,4 @@
-"""Brute-force reference implementations and the approximation-ratio check."""
+"""From-scratch evaluators, brute force and the approximation-ratio check."""
 
 import math
 
@@ -13,19 +13,19 @@ from subsel import (
     FeatureMatrix,
     FunctionObjective,
     InputError,
+    Saturator,
     SimilarityMatrix,
     facility_location_eval,
     feature_based_eval,
+    sparse_from_triples,
 )
 from subsel.oracle import (
     GREEDY_GUARANTEE,
     OracleReport,
     brute_force_max,
     check_ratio,
-    facility_location_direct,
-    feature_based_direct,
 )
-from instances import rand_features, rand_similarity, sparse_and_dense
+from instances import BAD_INITIAL, rand_features, rand_similarity, sparse_and_dense
 
 S3 = SimilarityMatrix.from_dense([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
 F2 = FeatureMatrix([[4.0, 9.0], [1.0, 0.0]])
@@ -33,57 +33,114 @@ F2 = FeatureMatrix([[4.0, 9.0], [1.0, 0.0]])
 
 class TestDirectEvaluators:
     def test_facility_location_hand_values(self):
-        assert facility_location_direct(S3, []) == 0.0
-        assert facility_location_direct(S3, [0]) == pytest.approx(1.7, rel=1e-12)
-        assert facility_location_direct(S3, [0, 1, 2]) == pytest.approx(3.0, rel=1e-12)
+        assert facility_location_eval(S3, []) == 0.0
+        assert facility_location_eval(S3, [0]) == pytest.approx(1.7, rel=1e-12)
+        assert facility_location_eval(S3, [0, 1, 2]) == pytest.approx(3.0, rel=1e-12)
 
     def test_facility_location_ignores_duplicates(self):
-        assert facility_location_direct(S3, [1, 1]) == facility_location_direct(S3, [1])
+        assert facility_location_eval(S3, [1, 1]) == facility_location_eval(S3, [1])
 
     def test_facility_location_out_of_range(self):
-        with pytest.raises(IndexError):
-            facility_location_direct(S3, [5])
+        for bad in ([5], [-1], [0, 3]):
+            with pytest.raises(IndexError):
+                facility_location_eval(S3, bad)
 
     def test_facility_location_sparse_storage(self):
         rng = np.random.default_rng(101)
         dense, sparse = sparse_and_dense(rng, 20)
-        X = [0, 7, 13]
-        assert facility_location_direct(sparse, X) == pytest.approx(
-            facility_location_direct(dense, X), rel=1e-12
-        )
+        for X in ([], [0, 7, 13], [19, 3, 3, 0], range(20)):
+            assert facility_location_eval(sparse, X) == pytest.approx(
+                facility_location_eval(dense, X), rel=1e-12
+            )
+        with pytest.raises(IndexError):
+            facility_location_eval(sparse, [20])
 
     def test_feature_based_hand_values(self):
-        assert feature_based_direct(F2, []) == 0.0
-        assert feature_based_direct(F2, [0]) == pytest.approx(5.0, rel=1e-12)
-        assert feature_based_direct(F2, [0, 1]) == pytest.approx(
+        assert feature_based_eval(F2, None, "sqrt", []) == 0.0
+        assert feature_based_eval(F2, None, "sqrt", [0]) == pytest.approx(5.0, rel=1e-12)
+        assert feature_based_eval(F2, None, "sqrt", [0, 1, 1]) == pytest.approx(
             math.sqrt(5.0) + 3.0, rel=1e-12
         )
+        with pytest.raises(IndexError):
+            feature_based_eval(F2, None, "sqrt", [2])
 
     def test_feature_based_log_and_weights(self):
         F = FeatureMatrix([[math.e - 1.0, 3.0]])
-        value = feature_based_direct(F, [0], concave="log", weights=[2.0, 0.0])
+        value = feature_based_eval(F, [2.0, 0.0], "log", [0])
         assert value == pytest.approx(2.0, rel=1e-12)
 
     def test_feature_based_accepts_callable_concave(self):
-        value = feature_based_direct(F2, [0], concave=lambda t: t)
+        value = feature_based_eval(F2, None, lambda t: t, [0])
         assert value == pytest.approx(13.0, rel=1e-12)
 
     def test_feature_based_unknown_concave(self):
         with pytest.raises(InputError):
-            feature_based_direct(F2, [0], concave="cube")
+            feature_based_eval(F2, None, "cube", [0])
+
+    def test_non_integer_indices_and_bad_weights_rejected(self):
+        for bad in BAD_INITIAL:
+            with pytest.raises(InputError, match="^indices must be integers"):
+                facility_location_eval(S3, bad)
+            with pytest.raises(InputError, match="^indices must be integers"):
+                feature_based_eval(F2, None, "sqrt", bad)
+        for weights in (2.0, [1.0], [1.0, -1.0], [1.0, np.nan], [np.inf, 1.0]):
+            with pytest.raises(InputError, match="^weights must be"):
+                feature_based_eval(F2, weights, "sqrt", [0])
+        assert facility_location_eval(S3, np.array([1, 0], dtype=np.uint8)) == pytest.approx(
+            2.3, rel=1e-12
+        )
 
     def test_agrees_with_incremental_evaluators(self):
+        """Gains summed over the objectives' gain/update path equal the value."""
         rng = np.random.default_rng(103)
-        S = SimilarityMatrix.from_dense(rand_similarity(rng, 15))
+        dense, sparse = sparse_and_dense(rng, 15, zero_fraction=0.5)
         F = FeatureMatrix(rand_features(rng, 15, 4))
+        weights = rng.uniform(0.0, 2.0, size=4)
+        cases = [
+            (FacilityLocationObjective(dense), lambda X: facility_location_eval(dense, X)),
+            (FacilityLocationObjective(sparse), lambda X: facility_location_eval(sparse, X)),
+            (FeatureBasedObjective(F), lambda X: feature_based_eval(F, None, "sqrt", X)),
+            (
+                FeatureBasedObjective(F, "log", weights),
+                lambda X: feature_based_eval(F, weights, "log", X),
+            ),
+        ]
         for _ in range(10):
-            X = tuple(int(i) for i in rng.permutation(15)[: rng.integers(1, 8)])
-            assert facility_location_direct(S, X) == pytest.approx(
-                facility_location_eval(S, X), rel=1e-9
-            )
-            assert feature_based_direct(F, X) == pytest.approx(
-                feature_based_eval(F, None, "sqrt", X), rel=1e-9
-            )
+            X = [int(i) for i in rng.permutation(15)[: rng.integers(1, 8)]]
+            for obj, value in cases:
+                state, total = obj.new_state(), 0.0
+                for v in X:
+                    total += obj.gain(state, v)
+                    obj.update(state, v)
+                assert total == pytest.approx(value(X), rel=1e-9)
+
+
+class TestOracleIndependence:
+    """The evaluators reach none of the incremental machinery they check."""
+
+    def test_evaluators_run_with_gain_update_and_saturator_disabled(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called into subsel.objectives")
+
+        for cls in (FacilityLocationObjective, FeatureBasedObjective):
+            monkeypatch.setattr(cls, "gain", refuse)
+            monkeypatch.setattr(cls, "update", refuse)
+        monkeypatch.setattr(Saturator, "__call__", refuse)
+
+        sparse = sparse_from_triples(
+            3, [(i, j, float(S3.lookup(i, j))) for i in range(3) for j in range(3)]
+        )
+        for S in (S3, sparse):
+            assert facility_location_eval(S, [0, 1]) == pytest.approx(2.3, rel=1e-12)
+            assert facility_location_eval(S, [2]) == pytest.approx(1.5, rel=1e-12)
+        F = FeatureMatrix([[1.0, 2.0], [0.0, 1.0]])
+        # log1p masses (1, 3) weighted (2, 0.5): 2 ln 2 + 0.5 ln 4 = 3 ln 2.
+        assert feature_based_eval(F, [2.0, 0.5], "log", [0, 1]) == pytest.approx(
+            3.0 * math.log(2.0), rel=1e-12
+        )
+        assert feature_based_eval(F, None, "sqrt", [0]) == pytest.approx(
+            1.0 + math.sqrt(2.0), rel=1e-12
+        )
 
 
 class TestBruteForce:
@@ -96,14 +153,14 @@ class TestBruteForce:
         assert subset == (0, 2)
 
     def test_k_equal_n_returns_everything(self):
-        value, subset = brute_force_max(lambda X: facility_location_direct(S3, X), 3, 3)
+        value, subset = brute_force_max(lambda X: facility_location_eval(S3, X), 3, 3)
         assert subset == (0, 1, 2)
         assert value == pytest.approx(3.0, rel=1e-12)
 
     def test_facility_location_pairs(self):
         # Pair values: {0,1} -> 2.3, {0,2} -> 2.5, {1,2} -> 2.5. The optimum is
         # tied and the lexicographically smaller pair wins.
-        value, subset = brute_force_max(lambda X: facility_location_direct(S3, X), 3, 2)
+        value, subset = brute_force_max(lambda X: facility_location_eval(S3, X), 3, 2)
         assert value == pytest.approx(2.5, rel=1e-12)
         assert subset == (0, 2)
 
@@ -161,7 +218,7 @@ class TestCheckRatio:
         for _ in range(50):
             F = FeatureMatrix(rand_features(rng, 10, 4))
             report = check_ratio(
-                FeatureBasedObjective(F), lambda X, F=F: feature_based_direct(F, X), k=3
+                FeatureBasedObjective(F), lambda X, F=F: feature_based_eval(F, None, "sqrt", X), k=3
             )
             assert report.ratio >= GREEDY_GUARANTEE - 1e-12
 
@@ -171,7 +228,7 @@ class TestCheckRatio:
             S = SimilarityMatrix.from_dense(rand_similarity(rng, 10))
             report = check_ratio(
                 FacilityLocationObjective(S),
-                lambda X, S=S: facility_location_direct(S, X),
+                lambda X, S=S: facility_location_eval(S, X),
                 k=3,
             )
             assert report.ratio >= GREEDY_GUARANTEE - 1e-12
@@ -201,7 +258,7 @@ class TestCheckRatio:
         rng = np.random.default_rng(113)
         S = SimilarityMatrix.from_dense(rand_similarity(rng, 9))
         report = check_ratio(
-            FacilityLocationObjective(S), lambda X: facility_location_direct(S, X), k=3
+            FacilityLocationObjective(S), lambda X: facility_location_eval(S, X), k=3
         )
         assert 0.0 <= report.ratio <= 1.0 + 1e-12
         assert report.greedy_value <= report.opt_value + 1e-12

@@ -14,7 +14,7 @@ from subsel import (
     hybrid_maximize,
     squared_correlation_similarity,
 )
-from instances import BAD_K, BAD_NAIVE_ROUNDS, rand_features, rand_similarity
+from instances import BAD_INITIAL, BAD_K, BAD_NAIVE_ROUNDS, rand_features, rand_similarity
 
 S3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
 
@@ -169,6 +169,10 @@ class TestConstructorValidation:
                 with pytest.raises(InputError, match="^naive_rounds must"):
                     cls(1, naive_rounds=bad)
             assert type(cls(1, naive_rounds=np.int64(2)).naive_rounds) is int
+            for bad in BAD_INITIAL:
+                with pytest.raises(InputError, match="^initial index must be an integer"):
+                    cls(2, initial=bad)
+            assert [type(i) for i in cls(2, initial=[np.int64(1)]).initial] == [int]
 
     def test_knobs_do_not_change_the_selection(self):
         rng = np.random.default_rng(97)
