@@ -33,6 +33,7 @@ __all__ = [
     "squared_correlation_similarity",
     "cosine_similarity",
     "sparse_from_triples",
+    "as_similarity",
     "TRIPLE_DTYPE",
 ]
 
@@ -40,7 +41,17 @@ __all__ = [
 TRIPLE_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 
+def _is_csr(data) -> bool:
+    """Whether ``data`` has the attributes of a CSR matrix (scipy's, or a look-alike)."""
+    return all(hasattr(data, a) for a in ("indptr", "indices", "data", "shape"))
+
+
 def _as_2d_float(values, what: str) -> np.ndarray:
+    if _is_csr(values) or hasattr(values, "tocsr"):
+        raise InputError(
+            f"{what} must be a dense array, got a sparse {type(values).__name__}; "
+            "convert it with .toarray()"
+        )
     arr = np.array(values, dtype=np.float64, copy=True)
     if arr.ndim != 2:
         raise InputError(f"{what} must be 2-dimensional, got ndim={arr.ndim}")
@@ -319,6 +330,43 @@ def sparse_from_triples(n: int, triples: Iterable[Sequence] | np.ndarray) -> Sim
     for a in (indptr, cols_s, vals_s):
         a.setflags(write=False)
     return SimilarityMatrix(indptr=indptr, cols=cols_s, vals=vals_s, n=n)
+
+
+def as_similarity(data) -> SimilarityMatrix:
+    """``data`` as a SimilarityMatrix: as is, from a CSR matrix, or from a dense square array.
+
+    CSR input is duck-typed on ``indptr``, ``indices``, ``data`` and
+    ``shape`` (``scipy.sparse.csr_matrix`` has them; scipy is not needed)
+    and goes through :func:`sparse_from_triples`, so range, value and
+    duplicate checks live in one place. Other sparse formats are refused:
+    a CSC matrix has the same attributes with rows and columns swapped.
+    """
+    if isinstance(data, SimilarityMatrix):
+        return data
+    if not _is_csr(data):
+        return SimilarityMatrix.from_dense(data)
+    if getattr(data, "format", "csr") != "csr":
+        raise InputError(f"sparse similarity matrix must be CSR, got format {data.format!r}; "
+                         "convert it with .tocsr()")
+    shape = tuple(data.shape)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise InputError(f"similarity matrix must be square, got shape {shape}")
+    n = shape[0]
+    indptr, indices, values = (np.asarray(a) for a in (data.indptr, data.indices, data.data))
+    if (indptr.shape != (n + 1,) or indptr.dtype.kind not in "iu" or indices.ndim != 1
+            or indices.dtype.kind not in "iu" or values.dtype.kind not in "iuf"
+            or indptr[0] != 0 or (np.diff(indptr) < 0).any()
+            or indptr[-1] != len(indices) or values.shape != indices.shape):
+        raise InputError(
+            "malformed CSR similarity matrix: indptr must be n + 1 integers rising from 0 "
+            "to the number of stored entries, with one integer column index and one real "
+            "value per entry"
+        )
+    triples = np.empty(len(indices), dtype=TRIPLE_DTYPE)
+    triples["row"] = np.repeat(np.arange(n), np.diff(indptr))
+    triples["col"] = indices
+    triples["value"] = values
+    return sparse_from_triples(n, triples)
 
 
 def _triple_array(triples: Iterable[Sequence]) -> np.ndarray:

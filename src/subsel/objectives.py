@@ -15,8 +15,10 @@ vector pass instead of a from-scratch evaluation:
   its strictly positive improvements over that vector. Positive improvements
   are compacted before summation so the dense and sparse storage paths add
   exactly the same floats in the same order and agree bit-for-bit.
-* :class:`FeatureBasedObjective` tracks per-feature accumulated mass; the
-  gain of a candidate is the weighted increase of the saturated mass.
+* :class:`FeatureBasedObjective` tracks per-feature accumulated mass and
+  its saturated value ``phi(mass)``, refreshed by ``update``; the gain of a
+  candidate is the weighted increase of the saturated mass, so each gain
+  applies ``phi`` once instead of twice.
 
 Gains are plain 64-bit arithmetic with no compensated summation: the lazy
 and naive optimizers rely on recomputed gains being identical, not merely
@@ -31,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import AlreadySelectedError, ConstraintViolationError, InputError
-from .matrices import FeatureMatrix, SimilarityMatrix, _first_invalid
+from .matrices import FeatureMatrix, SimilarityMatrix, _first_invalid, as_similarity
 
 __all__ = [
     "Saturator",
@@ -109,11 +111,16 @@ class FacilityLocationState(ObjectiveState):
 
 
 class FeatureBasedState(ObjectiveState):
-    """Tracks feature_sum[d] = total mass of feature d over the selection."""
+    """Tracks feature_sum[d] = total mass of feature d over the selection.
+
+    ``saturated`` is ``phi(feature_sum)``, kept in step by ``update``; both
+    start at zero because every saturator maps 0 to 0.
+    """
 
     def __init__(self, n_features: int):
         super().__init__()
         self.feature_sum = np.zeros(n_features)
+        self.saturated = np.zeros(n_features)
 
 
 class SubmodularObjective(ABC):
@@ -155,14 +162,14 @@ class FacilityLocationObjective(SubmodularObjective):
     The value of a selection X is the sum over all ground-set elements of
     their best similarity to X (zero for the empty selection). Works with
     dense or sparse similarity storage; a sparse gain touches only the
-    candidate's stored entries.
+    candidate's stored entries. ``similarity`` is anything
+    :func:`~subsel.matrices.as_similarity` accepts: a SimilarityMatrix, a CSR
+    matrix or a dense square array.
     """
 
-    def __init__(self, similarity: SimilarityMatrix | np.ndarray):
-        if not isinstance(similarity, SimilarityMatrix):
-            similarity = SimilarityMatrix.from_dense(similarity)
-        self._sim = similarity
-        self.n_examples = similarity.n_examples
+    def __init__(self, similarity):
+        self._sim = as_similarity(similarity)
+        self.n_examples = self._sim.n_examples
 
     @property
     def similarity(self) -> SimilarityMatrix:
@@ -181,7 +188,7 @@ class FacilityLocationObjective(SubmodularObjective):
         # Compact to the strictly positive improvements before summing: the
         # dense path then adds the exact same floats as the sparse path.
         pos = diff[diff > 0.0]
-        return float(pos.sum())
+        return float(np.add.reduce(pos))
 
     def update(self, state: FacilityLocationState, v: int) -> None:
         v = self._check_candidate(state, v)
@@ -207,6 +214,10 @@ class FeatureBasedObjective(SubmodularObjective):
         self._sat = saturator(concave)
         self._w = _feature_weights(weights, features.n_features)
         self.n_examples = features.n_examples
+        # For gain: a Saturator call adds a Python frame (~4% of a gain on
+        # CPython 3.11) and each attribute hop a lookup, on every call.
+        self._phi = self._sat._f
+        self._X = features.values
 
     @property
     def features(self) -> FeatureMatrix:
@@ -225,16 +236,14 @@ class FeatureBasedObjective(SubmodularObjective):
 
     def gain(self, state: FeatureBasedState, v: int) -> float:
         v = self._check_candidate(state, v)
-        fs = state.feature_sum
-        # The numpy function itself: calling the Saturator instance adds a
-        # Python frame per call, ~4% of a gain's time on CPython 3.11.
-        phi = self._sat._f
-        diff = phi(fs + self._F.values[v]) - phi(fs)
-        return float(np.sum(self._w * diff))
+        diff = self._phi(state.feature_sum + self._X[v]) - state.saturated
+        # np.add.reduce is the pairwise sum np.sum runs, without its wrapper.
+        return float(np.add.reduce(self._w * diff))
 
     def update(self, state: FeatureBasedState, v: int) -> None:
         v = self._check_candidate(state, v)
-        state.feature_sum += self._F.values[v]
+        state.feature_sum += self._X[v]
+        self._phi(state.feature_sum, out=state.saturated)
         state._mark(v)
 
 

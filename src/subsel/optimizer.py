@@ -9,6 +9,12 @@ Three strategies, all producing identical selections:
 * the hybrid runs a configurable number of naive rounds first, then seeds
   the queue with the final naive round's gains and finishes lazily.
 
+Pure lazy starts with one naive round too: with no bounds yet, its first
+step has to evaluate every candidate, which is exactly a naive sweep. The
+queue is then built from that sweep with one ``heapify``, so 0 and 1 naive
+rounds spend the same evaluations at every step. A stale top is re-scored
+in place (``heapreplace``); only the fresh top that is accepted is popped.
+
 Lazy selection accepts a popped entry only when its bound was recomputed in
 the current iteration. That is stricter than the usual "recomputed gain beats
 the next bound" shortcut, which can diverge from naive greedy under ties;
@@ -26,6 +32,7 @@ import heapq
 import math
 import numbers
 import sys
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -66,11 +73,15 @@ class SelectionResult:
 
 
 class ProgressRecord(NamedTuple):
+    """One selection: its step, index and gain, the objective so far, the
+    evaluations spent so far, and the seconds since the run started."""
+
     step: int
     index: int
     gain: float
     objective: float
     evaluations: int
+    seconds: float = 0.0
 
 
 class CandidateQueue:
@@ -80,6 +91,11 @@ class CandidateQueue:
     tie-break. Every not-yet-selected candidate keeps exactly one live entry;
     bounds computed at earlier iterations stay valid upper bounds because
     marginal gains only shrink as the selection grows.
+
+    The optimizer builds its queue from a naive sweep with one ``heapify``
+    and re-scores a stale top in place with ``heapreplace``. Entries are
+    totally ordered by their unique index, so the order in which entries
+    surface depends only on the entries, not on the heap's layout.
     """
 
     def __init__(self):
@@ -164,31 +180,34 @@ def lazy_greedy_step(
     queue: CandidateQueue,
     current_iter: int,
 ) -> tuple[int, float, int]:
-    """One lazy round: pop until the top entry is fresh, select it, update.
+    """One lazy round: re-score the top until it is fresh, select it, update.
 
-    A popped entry whose stamp is not ``current_iter`` has its gain
-    recomputed against the current state and is pushed back restamped.
+    A top entry whose stamp is not ``current_iter`` has its gain
+    recomputed against the current state and is replaced in place, restamped.
     Because every bound is an upper bound on the true gain, a fresh top is
     exactly the candidate naive greedy would select, including the
     smallest-index tie-break. Returns (chosen index, gain, evaluations
     spent).
     """
-    if not queue:
+    heap = queue._heap
+    if not heap:
         raise InputError("lazy greedy step needs a non-empty candidate queue")
     evaluations = 0
     while True:
-        bound, index, stamp = queue.pop()
+        neg, index, stamp = heap[0]
         if stamp == current_iter:
+            heapq.heappop(heap)
             objective.update(state, index)
-            return index, bound, evaluations
+            return index, -neg, evaluations
         evaluations += 1
-        queue.push(_gain(objective, state, index), index, current_iter)
+        heapq.heapreplace(heap, (-_gain(objective, state, index), index, current_iter))
 
 
 def _print_progress(record: ProgressRecord) -> None:
     print(
         f"step={record.step} index={record.index} gain={record.gain:.17g} "
-        f"objective={record.objective:.17g} evaluations={record.evaluations}",
+        f"objective={record.objective:.17g} evaluations={record.evaluations} "
+        f"seconds={record.seconds:.6f}",
         file=sys.stderr,
     )
 
@@ -213,6 +232,7 @@ def hybrid_maximize(
 
     When ``progress`` is given it receives one ProgressRecord per selection.
     """
+    start = time.perf_counter()
     k, naive_rounds = _check_budget(k, naive_rounds)
     n = objective.n_examples
     target = min(k, n)
@@ -240,7 +260,8 @@ def hybrid_maximize(
         gains.append(gain)
         cumulative += gain
         if progress is not None:
-            progress(ProgressRecord(len(ranking) - 1, index, gain, cumulative, evaluations))
+            progress(ProgressRecord(len(ranking) - 1, index, gain, cumulative, evaluations,
+                                    time.perf_counter() - start))
 
     for v in initial:
         g = _gain(objective, state, v)
@@ -249,29 +270,24 @@ def hybrid_maximize(
         record(v, g)
 
     selected = set(ranking)
-    remaining = np.array([i for i in range(n) if i not in selected], dtype=np.int64)
+    remaining = [i for i in range(n) if i not in selected]
 
-    rounds = min(naive_rounds, target - len(ranking))
-    last_sweep: list[float] | None = None
-    for _ in range(rounds):
+    # Pure lazy's first step is a full sweep anyway, so one naive round always runs.
+    for _ in range(min(max(naive_rounds, 1), target - len(ranking))):
         chosen, gain, sweep = naive_greedy_step(objective, state, remaining)
         evaluations += len(remaining)
-        pos = int(np.searchsorted(remaining, chosen))
-        remaining = np.delete(remaining, pos)
-        sweep.pop(pos)
-        last_sweep = sweep
+        pos = remaining.index(chosen)
+        del remaining[pos], sweep[pos]
         record(chosen, gain)
 
     if len(ranking) < target:
+        # The final sweep's gains are stale but valid upper bounds (gains
+        # never grow); its list becomes the heap in place, saving a copy.
+        for i, v in enumerate(remaining):
+            sweep[i] = (-sweep[i], v, _STALE)
+        heapq.heapify(sweep)
         queue = CandidateQueue()
-        if last_sweep is None:
-            for v in remaining:
-                queue.push(np.inf, int(v), _STALE)
-        else:
-            # Bounds from the final naive sweep are stale but valid upper
-            # bounds: gains cannot have grown since that sweep was measured.
-            for v, g in zip(remaining, last_sweep):
-                queue.push(g, int(v), _STALE)
+        queue._heap = sweep
         while len(ranking) < target:
             current_iter = len(ranking)
             chosen, gain, spent = lazy_greedy_step(objective, state, queue, current_iter)

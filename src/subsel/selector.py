@@ -137,7 +137,7 @@ class FacilityLocationSelector(BaseSelector):
     """Coverage-driven selection over pairwise similarities.
 
     ``similarity`` names the data the selector expects: "precomputed" fits a
-    SimilarityMatrix (or dense square array) directly, while
+    SimilarityMatrix, CSR matrix or dense square array directly, while
     "squared-correlation" and "cosine" fit feature data and build the
     similarity matrix first.
     """
@@ -158,9 +158,7 @@ class FacilityLocationSelector(BaseSelector):
                     "got a FeatureMatrix (use similarity='squared-correlation' or 'cosine' "
                     "to build one from features)"
                 )
-            if not isinstance(data, SimilarityMatrix):
-                data = SimilarityMatrix.from_dense(data)
-            return FacilityLocationObjective(data)
+            return FacilityLocationObjective(data)  # the constructor runs as_similarity
         if isinstance(data, SimilarityMatrix):
             raise InputError(
                 f"similarity={self.similarity!r} builds its own matrix and expects feature "

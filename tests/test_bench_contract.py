@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from subsel import FacilityLocationSelector
+from subsel import FacilityLocationSelector, FeatureBasedSelector
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -46,3 +46,22 @@ def test_traced_fit_satisfies_the_trace_checks():
     assert phases == ["naive"] * 2 + ["lazy"] * 4
     names = {s["name"] for s in tracer.spans}
     assert {"selector.fit", "matrices.build"} <= names
+
+
+def test_traced_pure_lazy_feature_fit_satisfies_the_trace_checks():
+    # Pure lazy builds its queue from one naive sweep; the tracer must still
+    # see one gain call per counted evaluation and label every pick lazy.
+    spans = _load_spans()
+    X = np.random.default_rng(13).uniform(size=(40, 6))
+    selector = FeatureBasedSelector(7, verbose=True, progress=lambda record: None)
+    tracer = spans.Tracer("contract-lazy")
+    with spans.instrument(tracer):
+        t0 = time.perf_counter()
+        with tracer.span("workload"):
+            selector.fit(X)
+        wall = time.perf_counter() - t0
+
+    assert spans.trace_problem(tracer, wall, selector.result_.evaluations) == ""
+    picks = [s for s in tracer.spans if s["name"] == "optimizer.pick"]
+    assert [s["attrs"]["phase"] for s in picks] == ["lazy"] * 7
+    assert picks[0]["attrs"]["evals"] == 40

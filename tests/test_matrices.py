@@ -1,6 +1,7 @@
 """Data containers and similarity construction."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from subsel import (
     sparse_from_triples,
     squared_correlation_similarity,
 )
-from subsel.matrices import TRIPLE_DTYPE
+from subsel.matrices import TRIPLE_DTYPE, as_similarity
 from instances import sparse_and_dense
 
 
@@ -186,6 +187,71 @@ class TestSparseSimilarity:
             expected[i, j] = v
         S = sparse_from_triples(n, [(i, j, v) for (i, j), v in zip(pairs, vals)])
         assert np.array_equal(S.to_dense(), expected)
+
+
+class TestCsrSimilarity:
+    """``as_similarity`` reads anything shaped like a CSR matrix through the triples path."""
+
+    @staticmethod
+    def _csr(indptr, indices, data, shape):
+        return SimpleNamespace(indptr=indptr, indices=indices, data=data, shape=shape)
+
+    def test_duck_csr_matches_triples(self):
+        S = as_similarity(self._csr([0, 2, 2, 3], [2, 0, 1], [0.5, 1.0, 0.25], (3, 3)))
+        expected = sparse_from_triples(3, [(0, 2, 0.5), (0, 0, 1.0), (2, 1, 0.25)])
+        assert S.is_sparse
+        assert np.array_equal(S.to_dense(), expected.to_dense())
+        assert S.row(0)[0].tolist() == [0, 2]  # unsorted CSR columns come back sorted
+
+    def test_passes_similarity_matrices_and_dense_arrays_through(self):
+        S = SimilarityMatrix.from_dense([[1.0, 0.5], [0.5, 1.0]])
+        assert as_similarity(S) is S
+        assert not as_similarity([[1.0, 0.5], [0.5, 1.0]]).is_sparse
+
+    def test_rejects_non_square_shape(self):
+        with pytest.raises(InputError, match="must be square, got shape \\(2, 3\\)"):
+            as_similarity(self._csr([0, 1, 1], [2], [1.0], (2, 3)))
+
+    @pytest.mark.parametrize("indptr, indices, data", [
+        ([0, 1], [0], [1.0]),             # indptr too short for n = 2
+        ([1, 1, 1], [0], [1.0]),          # does not start at 0
+        ([0, 2, 1], [0, 1], [1.0, 1.0]),  # falls
+        ([0, 1, 3], [0, 1], [1.0, 1.0]),  # ends past the stored entries
+        ([0, 1, 2], [0.0, 1.0], [1.0, 1.0]),  # fractional column indices
+        ([0, 1, 2], [0, 1], [1.0]),       # one value short
+        ([0, 1, 2], [0, 1], ["a", "b"]),  # values that are not numbers
+    ])
+    def test_rejects_malformed_structure(self, indptr, indices, data):
+        with pytest.raises(InputError, match="malformed CSR"):
+            as_similarity(self._csr(indptr, indices, data, (2, 2)))
+
+    def test_entry_checks_are_those_of_the_triples_path(self):
+        with pytest.raises(TripleValidationError, match="out of range") as exc:
+            as_similarity(self._csr([0, 1, 2], [0, 2], [1.0, 1.0], (2, 2)))
+        assert exc.value.triple_index == 1
+        with pytest.raises(TripleValidationError, match="negative"):
+            as_similarity(self._csr([0, 1, 2], [0, 1], [1.0, -1.0], (2, 2)))
+        with pytest.raises(TripleValidationError, match="non-finite"):
+            as_similarity(self._csr([0, 1, 2], [0, 1], [np.nan, 1.0], (2, 2)))
+        with pytest.raises(TripleValidationError, match="duplicate"):
+            as_similarity(self._csr([0, 2, 2], [1, 1], [1.0, 1.0], (2, 2)))
+        with pytest.raises(DegenerateInputError):
+            as_similarity(self._csr([0], np.zeros(0, np.int32), np.zeros(0), (0, 0)))
+
+    def test_scipy_csr_round_trips(self):
+        sp = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(17)
+        dense, _ = sparse_and_dense(rng, 30)
+        S = as_similarity(sp.csr_matrix(dense.to_dense()))
+        assert S.is_sparse
+        assert np.array_equal(S.to_dense(), dense.to_dense())
+
+    def test_dense_constructors_refuse_sparse_input_by_name(self):
+        csr = self._csr([0, 1, 2], [0, 1], [1.0, 1.0], (2, 2))
+        for build in (FeatureMatrix, SimilarityMatrix.from_dense,
+                      squared_correlation_similarity, cosine_similarity):
+            with pytest.raises(InputError, match="must be a dense array, got a sparse SimpleNamespace"):
+                build(csr)
 
 
 class TestSquaredCorrelation:

@@ -219,6 +219,35 @@ class TestFeatureBasedGain:
             assert (state.feature_sum >= previous).all()
             previous = state.feature_sum.copy()
 
+    @pytest.mark.parametrize("concave", ["sqrt", "log"])
+    def test_saturated_is_phi_of_feature_sum_bit_for_bit(self, concave):
+        rng = np.random.default_rng(31)
+        obj = FeatureBasedObjective(rand_features(rng, 20, 6), concave)
+        phi = Saturator(concave)
+        state = obj.new_state()
+        assert state.saturated.tobytes() == phi(state.feature_sum).tobytes()
+        for v in rng.permutation(20)[:12]:
+            obj.update(state, v)
+            assert state.saturated.tobytes() == phi(state.feature_sum).tobytes()
+
+    @pytest.mark.parametrize("concave", ["sqrt", "log"])
+    def test_gain_equals_the_unfactored_formula_bit_for_bit(self, concave):
+        # The gain reuses the cached saturated mass and calls np.add.reduce;
+        # the float it returns must be the one the textbook formula gives.
+        rng = np.random.default_rng(37)
+        F = rand_features(rng, 30, 7)
+        w = rng.uniform(0.5, 2.0, size=7)
+        obj = FeatureBasedObjective(F, concave, weights=w)
+        phi = Saturator(concave)
+        state = obj.new_state()
+        for step in range(6):
+            fs = state.feature_sum
+            for v in range(30):
+                if not state.is_selected(v):
+                    expected = float(np.sum(w * (phi(fs + F[v]) - phi(fs))))
+                    assert obj.gain(state, v) == expected
+            obj.update(state, int(rng.choice([v for v in range(30) if not state.is_selected(v)])))
+
 
 class TestFunctionObjective:
     def test_modular_cardinality_function(self):

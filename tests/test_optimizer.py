@@ -14,6 +14,7 @@ from subsel import (
     FeatureBasedObjective,
     FunctionObjective,
     InputError,
+    ProgressRecord,
     SelectionResult,
     SimilarityMatrix,
     facility_location_eval,
@@ -22,7 +23,14 @@ from subsel import (
     naive_greedy_step,
     sparse_from_triples,
 )
-from instances import BAD_INITIAL, BAD_K, BAD_NAIVE_ROUNDS, rand_features, rand_similarity
+from instances import (
+    BAD_INITIAL,
+    BAD_K,
+    BAD_NAIVE_ROUNDS,
+    rand_features,
+    rand_similarity,
+    sparse_and_dense,
+)
 
 S3 = SimilarityMatrix.from_dense([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
 
@@ -180,6 +188,56 @@ class TestEvaluationCounts:
         F = rand_features(rng, 100, 8)
         lazy, naive = _lazy_and_naive(lambda: FeatureBasedObjective(F), 100, 10)
         assert lazy.evaluations < naive.evaluations
+
+
+class TestFirstLazyStep:
+    """Pure lazy's first step is one naive sweep; the queue is built from it."""
+
+    @staticmethod
+    def _objectives():
+        rng = np.random.default_rng(53)
+        dense, sparse = sparse_and_dense(rng, 40, zero_fraction=0.7)
+        F = rand_features(rng, 40, 6)
+        return [FeatureBasedObjective(F), FacilityLocationObjective(dense),
+                FacilityLocationObjective(sparse)]
+
+    @staticmethod
+    def _inf_seeded_lazy(obj, k):
+        """Per-step evaluations of lazy greedy started from +inf bounds."""
+        state, q, spent = obj.new_state(), CandidateQueue(), []
+        for v in range(obj.n_examples):
+            q.push(np.inf, v, -1)
+        for it in range(k):
+            spent.append(lazy_greedy_step(obj, state, q, it)[2])
+        return state.selected, spent
+
+    def test_zero_and_one_naive_rounds_spend_identical_evaluations(self):
+        for obj in self._objectives():
+            runs = []
+            for rounds in (0, 1):
+                records = []
+                result = hybrid_maximize(obj, 12, naive_rounds=rounds, progress=records.append)
+                runs.append((result, [r.evaluations for r in records]))
+            (lazy, lazy_evals), (one, one_evals) = runs
+            assert lazy_evals == one_evals
+            assert (lazy.ranking, lazy.gains) == (one.ranking, one.gains)
+            ranking, spent = self._inf_seeded_lazy(obj, 12)
+            assert tuple(ranking) == lazy.ranking
+            assert list(np.cumsum(spent)) == lazy_evals
+
+
+class TestProgressSeconds:
+    def test_seconds_since_start_never_decrease(self):
+        records = []
+        obj = FeatureBasedObjective(rand_features(np.random.default_rng(59), 30, 4))
+        hybrid_maximize(obj, 10, naive_rounds=2, initial=[3], progress=records.append)
+        seconds = [r.seconds for r in records]
+        assert len(seconds) == 10 and seconds[0] >= 0.0
+        assert seconds == sorted(seconds)
+
+    def test_seconds_is_the_last_field_and_defaults_to_zero(self):
+        record = ProgressRecord(0, 4, 1.5, 1.5, 7)
+        assert record.seconds == 0.0 and record._fields[-1] == "seconds"
 
 
 class TestHybridKnobs:

@@ -154,6 +154,29 @@ class TestDataKinds:
         with pytest.raises(InputError):
             FeatureBasedSelector(1).fit(SimilarityMatrix.from_dense(S3))
 
+    def test_precomputed_accepts_scipy_csr_like_its_dense_form(self):
+        sp = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(101)
+        D = rand_similarity(rng, 25)
+        D[D < 0.6] = 0.0
+        via_csr = FacilityLocationSelector(6).fit(sp.csr_matrix(D))
+        via_dense = FacilityLocationSelector(6).fit(D)
+        assert via_csr.ranking_ == via_dense.ranking_
+        assert via_csr.gains_ == via_dense.gains_  # compacted sums agree bit for bit
+        with pytest.raises(InputError, match="must be CSR, got format 'csc'"):
+            FacilityLocationSelector(3).fit(sp.csc_matrix(D))
+        with pytest.raises(InputError, match="must be square"):
+            FacilityLocationSelector(3).fit(sp.csr_matrix(D[:, :20]))
+
+    def test_sparse_feature_data_is_refused_by_name(self):
+        sp = pytest.importorskip("scipy.sparse")
+        X = sp.csr_matrix(rand_features(np.random.default_rng(103), 10, 4))
+        for kind in ("squared-correlation", "cosine"):
+            with pytest.raises(InputError, match="must be a dense array, got a sparse csr_matrix"):
+                FacilityLocationSelector(2, similarity=kind).fit(X)
+        with pytest.raises(InputError, match="must be a dense array, got a sparse csr_matrix"):
+            FeatureBasedSelector(2).fit(X)
+
 
 class TestConstructorValidation:
     def test_k_must_be_positive_integer(self):
@@ -197,6 +220,12 @@ class TestVerbose:
         sel.fit([[4.0, 9.0], [1.0, 0.0]])
         assert [r.index for r in records] == list(sel.ranking_)
         assert capsys.readouterr().err == ""
+
+    def test_stderr_line_reports_seconds_since_start(self, capsys):
+        FeatureBasedSelector(3, verbose=True).fit(rand_features(np.random.default_rng(7), 9, 3))
+        lines = capsys.readouterr().err.splitlines()
+        seconds = [float(dict(p.split("=", 1) for p in line.split())["seconds"]) for line in lines]
+        assert len(seconds) == 3 and seconds == sorted(seconds) and seconds[0] >= 0.0
 
     def test_silent_by_default(self, capsys):
         FeatureBasedSelector(2).fit([[4.0, 9.0], [1.0, 0.0]])
