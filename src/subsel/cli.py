@@ -50,7 +50,7 @@ from .exceptions import (
     InputError,
     TripleValidationError,
 )
-from .matrices import TRIPLE_DTYPE, sparse_from_triples
+from .matrices import TRIPLE_DTYPE, SimilarityMatrix, sparse_from_triples
 from .selector import FacilityLocationSelector, FeatureBasedSelector
 
 __all__ = ["build_parser", "run", "main"]
@@ -356,6 +356,9 @@ def run(args) -> int:
     selector = _build_selector(args)
     data, lines = _load_data(args)
     try:
+        if args.similarity == "precomputed" and args.format == "csv":
+            # The parsed matrix is ours alone: adopt it rather than copy it.
+            data = SimilarityMatrix._from_owned(data)
         selector.fit(data)
     except DegenerateInputError as exc:
         raise CliError(f"{_where(args.input, lines, exc.row)}: {exc}") from None

@@ -46,12 +46,18 @@ def _is_csr(data) -> bool:
     return all(hasattr(data, a) for a in ("indptr", "indices", "data", "shape"))
 
 
-def _as_2d_float(values, what: str) -> np.ndarray:
+def _refuse_sparse(values, what: str) -> None:
+    """InputError naming the type when ``values`` is a sparse matrix (scipy's or a look-alike)."""
     if _is_csr(values) or hasattr(values, "tocsr"):
         raise InputError(
             f"{what} must be a dense array, got a sparse {type(values).__name__}; "
             "convert it with .toarray()"
         )
+
+
+def _as_2d_float(values, what: str) -> np.ndarray:
+    """A new float64 copy of ``values``, checked to be 2-D with at least one row and column."""
+    _refuse_sparse(values, what)
     arr = np.array(values, dtype=np.float64, copy=True)
     if arr.ndim != 2:
         raise InputError(f"{what} must be 2-dimensional, got ndim={arr.ndim}")
@@ -147,8 +153,21 @@ class SimilarityMatrix:
 
     @classmethod
     def from_dense(cls, values) -> "SimilarityMatrix":
-        """Wrap a dense square array. Entries must be finite and >= 0; asymmetry is allowed."""
-        arr = _as_2d_float(values, "similarity matrix")
+        """Wrap a copy of a dense square array. Entries must be finite and >= 0;
+        asymmetry is allowed.
+
+        ``values`` is always copied, so the caller's array is never frozen or
+        aliased; the matrix holds that one copy.
+        """
+        return cls._from_owned(_as_2d_float(values, "similarity matrix"))
+
+    @classmethod
+    def _from_owned(cls, arr: np.ndarray) -> "SimilarityMatrix":
+        """Check a 2-D float64 array and wrap it without copying.
+
+        For arrays the library made and nobody else holds: ``arr`` is made
+        read-only in place and becomes the matrix's storage.
+        """
         if arr.shape[0] != arr.shape[1]:
             raise InputError(f"similarity matrix must be square, got shape {arr.shape}")
         pos = _first_invalid(arr)
@@ -229,12 +248,59 @@ def _feature_values(data, what: str) -> np.ndarray:
     return arr
 
 
+def _symmetrize(a: np.ndarray) -> None:
+    """Set the square array ``a`` to ``(a + a.T) * 0.5`` in place, bit for bit.
+
+    Works on one pair of mirrored 256 x 256 tiles at a time, so the scratch
+    space is one 512 KiB tile rather than two n x n temporaries. IEEE
+    addition commutes, so the value written to an entry and to its mirror
+    is the same float the whole-array expression gives both.
+    """
+    n, b = a.shape[0], 256
+    buf = np.empty((min(n, b), min(n, b)))
+    for i in range(0, n, b):
+        for j in range(i, n, b):
+            upper = a[i:i + b, j:j + b]
+            lower = a[j:j + b, i:i + b]
+            mean = np.add(upper, lower.T, out=buf[:upper.shape[0], :upper.shape[1]])
+            mean *= 0.5
+            upper[...] = mean
+            lower[...] = mean.T
+
+
+def _unit_rows(arr: np.ndarray) -> np.ndarray:
+    """Rows of ``arr`` divided by their Euclidean norms.
+
+    A row whose sum of squares overflows to inf or underflows to 0 while it
+    has a non-zero entry is first divided by its largest magnitude; every
+    other row is divided by its norm directly. An all-zero row is an error.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(arr, axis=1)
+    extreme = np.flatnonzero((norms == 0.0) | (norms == np.inf))
+    peak = np.abs(arr[extreme]).max(axis=1)
+    if not peak.all():
+        row = int(extreme[np.argmin(peak)])
+        raise DegenerateInputError(
+            f"row {row} is all-zero; cosine similarity is undefined", row=row
+        )
+    scaled = arr[extreme] / peak[:, None]
+    norms[extreme] = 1.0  # placeholder: these rows are replaced below
+    unit = arr / norms[:, None]
+    unit[extreme] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    return unit
+
+
 def squared_correlation_similarity(data) -> SimilarityMatrix:
     """Pairwise squared Pearson correlations of the rows of ``data``.
 
     Output is symmetric with entries in [0, 1] and unit diagonal. Rows need
     at least two coordinates and must not be constant (a zero-variance row
-    makes the correlation undefined).
+    makes the correlation undefined). A single row gives ``[[1.0]]``.
+
+    The n x n result is computed in place in the one array ``np.corrcoef``
+    returns, and the SimilarityMatrix adopts that array without a copy, so
+    building it peaks at about one n x n float64 array.
     """
     arr = _feature_values(data, "input matrix")
     if arr.shape[1] < 2:
@@ -248,13 +314,15 @@ def squared_correlation_similarity(data) -> SimilarityMatrix:
             f"row {flat[0]} has zero variance across its features; correlation is undefined",
             row=int(flat[0]),
         )
-    sim = np.corrcoef(arr) ** 2
+    # corrcoef returns a 0-d value for a single row.
+    sim = np.atleast_2d(np.corrcoef(arr))
+    np.square(sim, out=sim)
     # Correlation is symmetric by definition, but the BLAS product behind
     # corrcoef is not bitwise symmetric; average the halves to make it so.
-    sim = (sim + sim.T) * 0.5
+    _symmetrize(sim)
     # Self-correlation is exactly 1 by definition; avoid last-ulp residue.
     np.fill_diagonal(sim, 1.0)
-    return SimilarityMatrix.from_dense(sim)
+    return SimilarityMatrix._from_owned(sim)
 
 
 def cosine_similarity(data, clamp_negative: bool = False) -> SimilarityMatrix:
@@ -264,22 +332,19 @@ def cosine_similarity(data, clamp_negative: bool = False) -> SimilarityMatrix:
     negative entries) violate the non-negativity invariant: by default they
     raise, because silently clamping changes the objective; pass
     ``clamp_negative=True`` to replace them with 0 instead.
+
+    As for :func:`squared_correlation_similarity`, the n x n result is
+    computed in place in one array that the SimilarityMatrix adopts without
+    a copy.
     """
-    arr = _feature_values(data, "input matrix")
-    norms = np.linalg.norm(arr, axis=1)
-    flat = np.flatnonzero(norms == 0.0)
-    if flat.size:
-        raise DegenerateInputError(
-            f"row {flat[0]} is all-zero; cosine similarity is undefined",
-            row=int(flat[0]),
-        )
-    unit = arr / norms[:, None]
-    sim = np.clip(unit @ unit.T, -1.0, 1.0)
+    unit = _unit_rows(_feature_values(data, "input matrix"))
+    sim = unit @ unit.T
+    np.clip(sim, -1.0, 1.0, out=sim)
     # The BLAS product is not bitwise symmetric; cosine similarity is.
-    sim = (sim + sim.T) * 0.5
+    _symmetrize(sim)
     np.fill_diagonal(sim, 1.0)
     if clamp_negative:
-        sim = np.maximum(sim, 0.0)
+        np.maximum(sim, 0.0, out=sim)
     else:
         pos = _first_invalid(sim)
         if pos is not None:
@@ -288,7 +353,7 @@ def cosine_similarity(data, clamp_negative: bool = False) -> SimilarityMatrix:
                 "pass clamp_negative=True to zero negatives",
                 position=pos,
             )
-    return SimilarityMatrix.from_dense(sim)
+    return SimilarityMatrix._from_owned(sim)
 
 
 def sparse_from_triples(n: int, triples: Iterable[Sequence] | np.ndarray) -> SimilarityMatrix:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 import numpy as np
 
 from .exceptions import ApproximationFailure, EnumerationBoundError, InputError
-from .matrices import FeatureMatrix, SimilarityMatrix
+from .matrices import FeatureMatrix, as_similarity
 from .optimizer import hybrid_maximize
 
 if TYPE_CHECKING:
@@ -53,10 +53,12 @@ def _indices(X: Iterable[int], n: int) -> np.ndarray:
     return idx
 
 
-def facility_location_eval(S: SimilarityMatrix, X: Iterable[int]) -> float:
+def facility_location_eval(S, X: Iterable[int]) -> float:
     """Facility-location value of X: sum over every element of its best
-    similarity to X. Empty X is worth 0. Sparse storage is read through the
-    CSR rows of X only."""
+    similarity to X. Empty X is worth 0. ``S`` is anything
+    :func:`~subsel.matrices.as_similarity` accepts; sparse storage is read
+    through the CSR rows of X only."""
+    S = as_similarity(S)
     n = S.n_examples
     idx = _indices(X, n)
     if not S.is_sparse:

@@ -21,6 +21,7 @@ from .exceptions import InputError
 from .matrices import (
     FeatureMatrix,
     SimilarityMatrix,
+    _refuse_sparse,
     cosine_similarity,
     squared_correlation_similarity,
 )
@@ -117,6 +118,7 @@ class BaseSelector:
         self._check_fitted()
         if isinstance(data, SimilarityMatrix):
             raise InputError("transform selects rows of example data, not of a similarity matrix")
+        _refuse_sparse(data, "dataset")
         wrap = isinstance(data, FeatureMatrix)
         arr = data.values if wrap else np.asarray(data)
         if arr.ndim != 2:

@@ -19,7 +19,7 @@ from subsel import (
     sparse_from_triples,
     squared_correlation_similarity,
 )
-from subsel.matrices import TRIPLE_DTYPE, as_similarity
+from subsel.matrices import TRIPLE_DTYPE, _symmetrize, as_similarity
 from instances import sparse_and_dense
 
 
@@ -107,6 +107,33 @@ class TestDenseSimilarity:
         out = S.to_dense()
         out[0, 0] = 7.0
         assert S.lookup(0, 0) == 1.0
+
+    def test_from_dense_copies_the_callers_array(self):
+        values = np.array([[1.0, 0.5], [0.3, 1.0]])
+        S = SimilarityMatrix.from_dense(values)
+        assert values.flags.writeable
+        values[0, 1] = 9.0
+        assert S.lookup(0, 1) == 0.5
+        assert not np.shares_memory(S.dense_row(0), values)
+
+
+class TestSymmetrize:
+    """The in-place block average equals the whole-array expression bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+    def test_equals_whole_array_expression(self, n, seed):
+        a = np.random.default_rng(seed).normal(size=(n, n))
+        expected = (a + a.T) * 0.5
+        _symmetrize(a)
+        assert np.array_equal(a.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 513])
+    def test_block_edges(self, n):
+        a = np.random.default_rng(n).random((n, n))
+        expected = (a + a.T) * 0.5
+        _symmetrize(a)
+        assert np.array_equal(a.view(np.int64), expected.view(np.int64))
 
 
 class TestSparseSimilarity:
@@ -295,6 +322,10 @@ class TestSquaredCorrelation:
         S = squared_correlation_similarity(F)
         assert S.lookup(0, 1) == pytest.approx(27.0 / 28.0, rel=1e-12)
 
+    def test_single_row_gives_unit_matrix(self):
+        S = squared_correlation_similarity([[1.0, 2.0]])
+        assert S.to_dense().tolist() == [[1.0]]
+
 
 class TestCosine:
     def test_identical_rows_give_one(self):
@@ -327,6 +358,21 @@ class TestCosine:
         rng = np.random.default_rng(5)
         S = cosine_similarity(rng.normal(size=(10, 4)), clamp_negative=True).to_dense()
         assert (S >= 0.0).all() and (S <= 1.0).all()
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_row_norm_past_the_float_range(self, scale):
+        # The sum of squares of (scale, scale) overflows to inf or underflows
+        # to 0; the cosine with (1, 2) is 3 / sqrt(10) either way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = cosine_similarity([[scale, scale], [1.0, 2.0]])
+        assert S.lookup(0, 1) == pytest.approx(3.0 / np.sqrt(10.0), rel=1e-12)
+        assert S.lookup(1, 0) == S.lookup(0, 1)
+
+    def test_zero_row_rejected_after_a_rescaled_row(self):
+        with pytest.raises(DegenerateInputError, match="row 2 is all-zero") as exc:
+            cosine_similarity([[1.0, 2.0], [1e-200, 0.0], [0.0, 0.0]])
+        assert exc.value.row == 2
 
 
 class TestFiniteBoundary:

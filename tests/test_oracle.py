@@ -1,6 +1,7 @@
 """From-scratch evaluators, brute force and the approximation-ratio check."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,6 +55,14 @@ class TestDirectEvaluators:
             )
         with pytest.raises(IndexError):
             facility_location_eval(sparse, [20])
+
+    def test_facility_location_takes_what_the_objective_takes(self):
+        dense = S3.to_dense()
+        csr = SimpleNamespace(indptr=[0, 3, 6, 9], indices=[0, 1, 2] * 3,
+                              data=dense.ravel(), shape=(3, 3))
+        for S in (S3, dense, dense.tolist(), csr):
+            assert facility_location_eval(S, [0]) == pytest.approx(1.7, rel=1e-12)
+        assert facility_location_eval(np.eye(3), [0]) == 1.0
 
     def test_feature_based_hand_values(self):
         assert feature_based_eval(F2, None, "sqrt", []) == 0.0

@@ -95,6 +95,14 @@ class TestTransform:
         with pytest.raises(InputError):
             sel.transform([4.0, 1.0])
 
+    def test_sparse_input_refused_by_name(self):
+        sp = pytest.importorskip("scipy.sparse")
+        X = np.array([[4.0, 0.0], [1.0, 2.0], [0.0, 3.0]])
+        sel = FeatureBasedSelector(2).fit(X)
+        with pytest.raises(InputError, match="must be a dense array, got a sparse csr_matrix; "
+                                             "convert it with .toarray()"):
+            sel.transform(sp.csr_matrix(X))
+
 
 class TestFitTransform:
     def test_equals_fit_then_transform(self):
@@ -116,6 +124,12 @@ class TestFitTransform:
 
 
 class TestDataKinds:
+    @pytest.mark.parametrize("similarity", ["squared-correlation", "cosine"])
+    def test_single_row_selects_it(self, similarity):
+        sel = FacilityLocationSelector(1, similarity=similarity).fit([[1.0, 2.0]])
+        assert sel.ranking_ == (0,)
+        assert sel.gains_ == (1.0,)
+
     def test_precomputed_accepts_similarity_matrix(self):
         sel = FacilityLocationSelector(1).fit(SimilarityMatrix.from_dense(S3))
         assert sel.ranking_ == (1,)
