@@ -35,14 +35,7 @@ from .objectives import (
     Saturator,
     SubmodularObjective,
 )
-from .optimizer import (
-    CandidateQueue,
-    ProgressRecord,
-    SelectionResult,
-    hybrid_maximize,
-    lazy_greedy_step,
-    naive_greedy_step,
-)
+from .optimizer import ProgressRecord, SelectionResult, hybrid_maximize
 from .oracle import facility_location_eval, feature_based_eval
 from .selector import BaseSelector, FacilityLocationSelector, FeatureBasedSelector
 
@@ -63,9 +56,6 @@ __all__ = [
     "feature_based_eval",
     "SelectionResult",
     "ProgressRecord",
-    "CandidateQueue",
-    "naive_greedy_step",
-    "lazy_greedy_step",
     "hybrid_maximize",
     "BaseSelector",
     "FacilityLocationSelector",

@@ -271,13 +271,14 @@ def _symmetrize(a: np.ndarray) -> None:
 def _unit_rows(arr: np.ndarray) -> np.ndarray:
     """Rows of ``arr`` divided by their Euclidean norms.
 
-    A row whose sum of squares overflows to inf or underflows to 0 while it
-    has a non-zero entry is first divided by its largest magnitude; every
-    other row is divided by its norm directly. An all-zero row is an error.
+    A row whose sum of squares overflows to inf or is subnormal (norm below
+    ``sqrt(tiny)``, where it has lost precision) is first divided by its
+    largest magnitude; every other row is divided by its norm directly. An
+    all-zero row is an error.
     """
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(arr, axis=1)
-    extreme = np.flatnonzero((norms == 0.0) | (norms == np.inf))
+    extreme = np.flatnonzero((norms < np.sqrt(np.finfo(float).tiny)) | (norms == np.inf))
     peak = np.abs(arr[extreme]).max(axis=1)
     if not peak.all():
         row = int(extreme[np.argmin(peak)])
@@ -307,7 +308,18 @@ def squared_correlation_similarity(data) -> SimilarityMatrix:
         raise InputError(
             f"squared-correlation similarity needs at least 2 features per row, got {arr.shape[1]}"
         )
-    variances = arr.var(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        variances = arr.var(axis=1)
+    # A variance that overflows (inf, or NaN from an overflowing mean) or is
+    # subnormal would ruin the row's correlations. Such a row is scaled by
+    # the power of two that brings its largest magnitude into [0.5, 1): the
+    # scaling is exact and correlation ignores scale.
+    extreme = np.flatnonzero(~np.isfinite(variances) | (variances < np.finfo(float).tiny))
+    if extreme.size:
+        arr = arr.copy()
+        _, exponent = np.frexp(np.abs(arr[extreme]).max(axis=1))
+        arr[extreme] = np.ldexp(arr[extreme], -exponent[:, None])
+        variances[extreme] = arr[extreme].var(axis=1)
     flat = np.flatnonzero(variances == 0.0)
     if flat.size:
         raise DegenerateInputError(

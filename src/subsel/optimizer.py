@@ -1,29 +1,29 @@
 """Greedy maximization of a submodular objective under a cardinality budget.
 
-Three strategies, all producing identical selections:
+One loop serves naive, lazy and hybrid greedy, and all three select the
+same indices with bit-identical gains. Candidates live in a heap of
+``(-bound, index, stamp)`` entries, ordered by bound descending and then
+index ascending, where ``stamp`` is the step at which the bound was
+computed. Every step re-scores a stale top in place (``heapreplace``) until
+the top is fresh, then pops it. Bounds from earlier steps stay valid upper
+bounds because marginal gains only shrink as the selection grows, so a
+fresh top is exactly the candidate naive greedy would take.
 
-* naive greedy recomputes every remaining candidate's gain each round and
-  takes the argmax (largest gain, then smallest index);
-* lazy greedy keeps stale gains as upper bounds in a max-priority queue and
-  recomputes only entries that surface, exploiting that gains never grow;
-* the hybrid runs a configurable number of naive rounds first, then seeds
-  the queue with the final naive round's gains and finishes lazily.
+A sweep step re-scores every remaining candidate, builds the heap anew from
+those gains with one ``heapify`` and pops its top: with every entry fresh,
+that is naive greedy's argmax (largest gain, then smallest index). The
+first step is always a sweep, since with no bounds yet it has to evaluate
+every candidate anyway; ``naive_rounds`` asks for more sweep steps. So 0
+and 1 naive rounds are the same run.
 
-Pure lazy starts with one naive round too: with no bounds yet, its first
-step has to evaluate every candidate, which is exactly a naive sweep. The
-queue is then built from that sweep with one ``heapify``, so 0 and 1 naive
-rounds spend the same evaluations at every step. A stale top is re-scored
-in place (``heapreplace``); only the fresh top that is accepted is popped.
-
-Lazy selection accepts a popped entry only when its bound was recomputed in
-the current iteration. That is stricter than the usual "recomputed gain beats
-the next bound" shortcut, which can diverge from naive greedy under ties;
-freshness costs an occasional extra pop and guarantees the two strategies
-select identical indices with bit-identical gains.
+A top is accepted only when its bound was recomputed in the current step.
+That is stricter than the usual "recomputed gain beats the next bound"
+shortcut, which can diverge from naive greedy under ties; freshness costs
+an occasional extra re-score and keeps the selections identical.
 
 Every gain the optimizer uses comes from one ``objective.gain`` call made
 through :func:`_gain`, which refuses a NaN or infinite value: a non-finite
-gain would otherwise be ranked silently by the argmax and the queue.
+gain would otherwise be ranked silently by the heap.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ import numbers
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, NamedTuple
 
 from .exceptions import InputError
 from .objectives import ObjectiveState, SubmodularObjective
@@ -44,13 +42,8 @@ from .objectives import ObjectiveState, SubmodularObjective
 __all__ = [
     "SelectionResult",
     "ProgressRecord",
-    "CandidateQueue",
-    "naive_greedy_step",
-    "lazy_greedy_step",
     "hybrid_maximize",
 ]
-
-_STALE = -1  # stamp guaranteed to predate every iteration counter
 
 
 @dataclass(frozen=True)
@@ -82,38 +75,6 @@ class ProgressRecord(NamedTuple):
     objective: float
     evaluations: int
     seconds: float = 0.0
-
-
-class CandidateQueue:
-    """Max-priority queue of (stale gain bound, candidate index, stamp).
-
-    Ordered by bound descending, then index ascending, matching the naive
-    tie-break. Every not-yet-selected candidate keeps exactly one live entry;
-    bounds computed at earlier iterations stay valid upper bounds because
-    marginal gains only shrink as the selection grows.
-
-    The optimizer builds its queue from a naive sweep with one ``heapify``
-    and re-scores a stale top in place with ``heapreplace``. Entries are
-    totally ordered by their unique index, so the order in which entries
-    surface depends only on the entries, not on the heap's layout.
-    """
-
-    def __init__(self):
-        self._heap: list[tuple[float, int, int]] = []
-
-    def push(self, bound: float, index: int, stamp: int) -> None:
-        heapq.heappush(self._heap, (-bound, index, stamp))
-
-    def pop(self) -> tuple[float, int, int]:
-        """Remove and return the (bound, index, stamp) with the largest bound."""
-        neg, index, stamp = heapq.heappop(self._heap)
-        return -neg, index, stamp
-
-    def __len__(self):
-        return len(self._heap)
-
-    def __bool__(self):
-        return bool(self._heap)
 
 
 def _integer(name: str, value) -> int:
@@ -153,56 +114,6 @@ def _gain(objective: SubmodularObjective, state: ObjectiveState, v) -> float:
     return g
 
 
-def naive_greedy_step(
-    objective: SubmodularObjective,
-    state: ObjectiveState,
-    candidates: Sequence[int],
-) -> tuple[int, float, list[float]]:
-    """One naive round: evaluate every candidate, select the best, update.
-
-    Ties break to the smallest index (candidates must be in ascending
-    order). Returns (chosen index, its gain, the full gains list) so the
-    caller can seed a lazy queue from the sweep; the sweep costs
-    len(candidates) evaluations.
-    """
-    if not len(candidates):
-        raise InputError("naive greedy step needs at least one candidate")
-    gains = [_gain(objective, state, v) for v in candidates]
-    best = int(np.argmax(gains))  # argmax keeps the first, i.e. smallest index
-    chosen = int(candidates[best])
-    objective.update(state, chosen)
-    return chosen, gains[best], gains
-
-
-def lazy_greedy_step(
-    objective: SubmodularObjective,
-    state: ObjectiveState,
-    queue: CandidateQueue,
-    current_iter: int,
-) -> tuple[int, float, int]:
-    """One lazy round: re-score the top until it is fresh, select it, update.
-
-    A top entry whose stamp is not ``current_iter`` has its gain
-    recomputed against the current state and is replaced in place, restamped.
-    Because every bound is an upper bound on the true gain, a fresh top is
-    exactly the candidate naive greedy would select, including the
-    smallest-index tie-break. Returns (chosen index, gain, evaluations
-    spent).
-    """
-    heap = queue._heap
-    if not heap:
-        raise InputError("lazy greedy step needs a non-empty candidate queue")
-    evaluations = 0
-    while True:
-        neg, index, stamp = heap[0]
-        if stamp == current_iter:
-            heapq.heappop(heap)
-            objective.update(state, index)
-            return index, -neg, evaluations
-        evaluations += 1
-        heapq.heapreplace(heap, (-_gain(objective, state, index), index, current_iter))
-
-
 def _print_progress(record: ProgressRecord) -> None:
     print(
         f"step={record.step} index={record.index} gain={record.gain:.17g} "
@@ -222,10 +133,11 @@ def hybrid_maximize(
     """Select min(k, n) examples by greedy maximization of ``objective``.
 
     ``initial`` indices are applied first, in the caller's order, with each
-    gain measured at the moment the index is applied. Then ``naive_rounds``
-    naive rounds run and lazy greedy finishes the budget. The outcome is
-    identical for every choice of ``naive_rounds``; it only trades time.
-    ``naive_rounds=0`` is pure lazy, ``naive_rounds >= k`` pure naive.
+    gain measured at the moment the index is applied. Then the first
+    ``max(naive_rounds, 1)`` greedy steps are sweep steps (naive greedy) and
+    lazy steps finish the budget. The outcome is identical for every choice
+    of ``naive_rounds``; it only trades time. ``naive_rounds=0`` is pure
+    lazy, ``naive_rounds >= k`` pure naive.
 
     Raises InputError for a ``k``, ``naive_rounds`` or ``initial`` index
     that is not an integer in range, and for a gain that is NaN or infinite.
@@ -269,29 +181,26 @@ def hybrid_maximize(
         objective.update(state, v)
         record(v, g)
 
-    selected = set(ranking)
-    remaining = [i for i in range(n) if i not in selected]
-
-    # Pure lazy's first step is a full sweep anyway, so one naive round always runs.
-    for _ in range(min(max(naive_rounds, 1), target - len(ranking))):
-        chosen, gain, sweep = naive_greedy_step(objective, state, remaining)
-        evaluations += len(remaining)
-        pos = remaining.index(chosen)
-        del remaining[pos], sweep[pos]
-        record(chosen, gain)
-
-    if len(ranking) < target:
-        # The final sweep's gains are stale but valid upper bounds (gains
-        # never grow); its list becomes the heap in place, saving a copy.
-        for i, v in enumerate(remaining):
-            sweep[i] = (-sweep[i], v, _STALE)
-        heapq.heapify(sweep)
-        queue = CandidateQueue()
-        queue._heap = sweep
-        while len(ranking) < target:
-            current_iter = len(ranking)
-            chosen, gain, spent = lazy_greedy_step(objective, state, queue, current_iter)
-            evaluations += spent
-            record(chosen, gain)
+    sweep_end = len(ranking) + max(naive_rounds, 1)
+    heap: list[tuple[float, int, int]] = []
+    while len(ranking) < target:
+        step = len(ranking)
+        spent = 0
+        if step < sweep_end:
+            # Sweep step: every remaining candidate gets a fresh bound.
+            taken = set(ranking)
+            heap = [(-_gain(objective, state, v), v, step) for v in range(n) if v not in taken]
+            heapq.heapify(heap)
+            spent = len(heap)
+        # Re-score stale tops in place; the first fresh top is the argmax.
+        neg, index, stamp = heap[0]
+        while stamp != step:
+            spent += 1
+            heapq.heapreplace(heap, (-_gain(objective, state, index), index, step))
+            neg, index, stamp = heap[0]
+        heapq.heappop(heap)
+        objective.update(state, index)
+        evaluations += spent
+        record(index, -neg)
 
     return SelectionResult(tuple(ranking), tuple(gains), evaluations)

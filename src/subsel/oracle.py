@@ -1,11 +1,12 @@
-"""From-scratch reference evaluators and the approximation-ratio check.
+"""From-scratch reference evaluators, a reference greedy and the approximation-ratio check.
 
 The two evaluators compute an objective's value straight from its
 definition, with whole-array numpy over the selected rows. They share no
 code with the incremental gain/update machinery in :mod:`subsel.objectives`;
 that independence is the point, since they are the yardstick the fast paths
 are measured against (brute force, telescoping checks, the benchmark's
-prefix gate).
+prefix gate). Likewise :func:`naive_greedy` shares no code with the
+optimizer's heap loop, which it checks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .exceptions import ApproximationFailure, EnumerationBoundError, InputError
 from .matrices import FeatureMatrix, as_similarity
-from .optimizer import hybrid_maximize
+from .optimizer import SelectionResult, hybrid_maximize
 
 if TYPE_CHECKING:
     from .objectives import SubmodularObjective
@@ -29,6 +30,7 @@ __all__ = [
     "OracleReport",
     "facility_location_eval",
     "feature_based_eval",
+    "naive_greedy",
     "brute_force_max",
     "check_ratio",
 ]
@@ -88,6 +90,37 @@ def feature_based_eval(F: FeatureMatrix, weights, concave, X: Iterable[int]) -> 
     if w.shape != (F.n_features,) or not np.all((w >= 0.0) & (w < np.inf)):
         raise InputError(f"weights must be {F.n_features} finite non-negative values, got {weights!r}")
     return float(np.sum(w * phi(mass)))
+
+
+def naive_greedy(
+    objective: SubmodularObjective, k: int, initial: Iterable[int] = ()
+) -> SelectionResult:
+    """Plain naive greedy: the reference the optimizer's heap loop must match.
+
+    ``initial`` indices are applied first, in order. Then each step calls
+    ``objective.gain`` on every remaining candidate in ascending index
+    order, takes the first maximum (largest gain, then smallest index) and
+    calls ``objective.update``, until min(k, n) indices are chosen. The
+    evaluation count is one per initial index plus every sweep. Inputs are
+    not validated.
+    """
+    state = objective.new_state()
+    ranking: list[int] = []
+    gains: list[float] = []
+    for v in initial:
+        gains.append(objective.gain(state, v))
+        objective.update(state, v)
+        ranking.append(v)
+    evaluations = len(ranking)
+    while len(ranking) < min(k, objective.n_examples):
+        candidates = [v for v in range(objective.n_examples) if v not in ranking]
+        sweep = [objective.gain(state, v) for v in candidates]
+        evaluations += len(sweep)
+        best = sweep.index(max(sweep))
+        gains.append(sweep[best])
+        objective.update(state, candidates[best])
+        ranking.append(candidates[best])
+    return SelectionResult(tuple(ranking), tuple(gains), evaluations)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from subsel import (
     hybrid_maximize,
     sparse_from_triples,
 )
-from subsel.oracle import GREEDY_GUARANTEE, brute_force_max
+from subsel.oracle import GREEDY_GUARANTEE, brute_force_max, naive_greedy
 
 
 def _report(capsys, num, name, ok, detail):
@@ -41,7 +41,8 @@ EQ_TRIALS, EQ_N, EQ_D, EQ_K = 100, 200, 20, 25
 
 @functools.lru_cache(maxsize=1)
 def _equivalence_runs():
-    """Random instances run both pure-lazy and pure-naive, plus direct values."""
+    """Random instances run pure-lazy, pure-naive and through the reference
+    ``oracle.naive_greedy``, plus direct values."""
     rng = np.random.default_rng(8261)
     runs = []
     for _ in range(EQ_TRIALS):
@@ -49,13 +50,17 @@ def _equivalence_runs():
         obj = FeatureBasedObjective(F)
         lazy = hybrid_maximize(obj, EQ_K)
         naive = hybrid_maximize(obj, EQ_K, naive_rounds=EQ_K)
-        runs.append(("feature-based", lazy, naive, feature_based_eval(F, None, "sqrt", lazy.ranking)))
+        reference = naive_greedy(obj, EQ_K)
+        runs.append(("feature-based", lazy, naive, reference,
+                     feature_based_eval(F, None, "sqrt", lazy.ranking)))
 
         S = SimilarityMatrix.from_dense(rng.uniform(size=(EQ_N, EQ_N)))
         obj = FacilityLocationObjective(S)
         lazy = hybrid_maximize(obj, EQ_K)
         naive = hybrid_maximize(obj, EQ_K, naive_rounds=EQ_K)
-        runs.append(("facility-location", lazy, naive, facility_location_eval(S, lazy.ranking)))
+        reference = naive_greedy(obj, EQ_K)
+        runs.append(("facility-location", lazy, naive, reference,
+                     facility_location_eval(S, lazy.ranking)))
     return runs
 
 
@@ -84,24 +89,32 @@ def _guarantee_runs():
 
 
 def test_01_lazy_matches_naive(capsys):
-    """Rankings identical element-for-element; gains within 1e-12."""
+    """Rankings identical element-for-element; gains within 1e-12. Both runs
+    also match the reference naive greedy, rankings and gains bit for bit."""
     mismatches = 0
     max_delta = 0.0
+    off_reference = 0
     runs = _equivalence_runs()
-    for _, lazy, naive, _ in runs:
+    for _, lazy, naive, reference, _ in runs:
+        for run in (lazy, naive):
+            if run.ranking != reference.ranking or (
+                np.array(run.gains).tobytes() != np.array(reference.gains).tobytes()
+            ):
+                off_reference += 1
         if lazy.ranking != naive.ranking:
             mismatches += 1
             continue
         delta = max(abs(a - b) for a, b in zip(lazy.gains, naive.gains))
         max_delta = max(max_delta, delta)
-    ok = mismatches == 0 and max_delta <= 1e-12
+    ok = mismatches == 0 and max_delta <= 1e-12 and off_reference == 0
     _report(
         capsys, 1, "lazy equals naive", ok,
         f"{len(runs)} instances, {mismatches} ranking mismatches, "
-        f"max gain delta {max_delta:.3g}",
+        f"max gain delta {max_delta:.3g}, {off_reference} runs off the reference greedy",
     )
     assert mismatches == 0
     assert max_delta <= 1e-12
+    assert off_reference == 0
 
 
 def test_02_greedy_meets_approximation_guarantee(capsys):
@@ -154,7 +167,7 @@ def test_04_gains_telescope_to_direct_values(capsys):
     """Sum of recorded gains equals the from-scratch value, relative 1e-9."""
     worst = 0.0
     count = 0
-    for _, lazy, naive, direct in _equivalence_runs():
+    for _, lazy, naive, _, direct in _equivalence_runs():
         for run in (lazy, naive):
             rel = abs(sum(run.gains) - direct) / max(1.0, abs(direct))
             worst = max(worst, rel)

@@ -65,3 +65,27 @@ def test_traced_pure_lazy_feature_fit_satisfies_the_trace_checks():
     picks = [s for s in tracer.spans if s["name"] == "optimizer.pick"]
     assert [s["attrs"]["phase"] for s in picks] == ["lazy"] * 7
     assert picks[0]["attrs"]["evals"] == 40
+
+
+def test_traced_fit_with_initial_and_naive_rounds_satisfies_the_trace_checks():
+    # One run enters the optimizer's loop three ways: the replay of initial
+    # indices, two sweep steps and the lazy steps after them. Each must
+    # spend exactly one gain call per counted evaluation.
+    spans = _load_spans()
+    X = np.random.default_rng(17).uniform(size=(25, 4))
+    records = []
+    selector = FeatureBasedSelector(
+        6, initial=[4, 9], naive_rounds=2, verbose=True, progress=records.append,
+    )
+    tracer = spans.Tracer("contract-initial")
+    with spans.instrument(tracer):
+        t0 = time.perf_counter()
+        with tracer.span("workload"):
+            selector.fit(X)
+        wall = time.perf_counter() - t0
+
+    assert spans.trace_problem(tracer, wall, selector.result_.evaluations) == ""
+    assert selector.ranking_[:2] == (4, 9)
+    # Two replayed indices, then sweeps over 23 and 22 candidates.
+    assert [r.evaluations for r in records[:4]] == [1, 2, 2 + 23, 2 + 23 + 22]
+    assert selector.result_.evaluations == records[-1].evaluations == 64

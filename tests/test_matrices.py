@@ -326,6 +326,23 @@ class TestSquaredCorrelation:
         S = squared_correlation_similarity([[1.0, 2.0]])
         assert S.to_dense().tolist() == [[1.0]]
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_row_variance_past_the_float_range(self, scale):
+        # The variance of (1, 3, 2) * 1e200 overflows and that of (1, 3, 2) *
+        # 1e-200 underflows; the squared correlation with (1, 2, 4) is 3/28.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = squared_correlation_similarity([[scale, 3.0 * scale, 2.0 * scale], [1.0, 2.0, 4.0]])
+        assert S.lookup(0, 1) == 0.10714285714285712
+        assert S.lookup(0, 1) == pytest.approx(3.0 / 28.0, rel=1e-15)
+        assert S.lookup(1, 0) == S.lookup(0, 1)
+
+    @pytest.mark.parametrize("value", [1e-200, 5e300, 5e-320])
+    def test_constant_row_at_the_ends_of_the_float_range_rejected(self, value):
+        with pytest.raises(DegenerateInputError, match="row 1 has zero variance") as exc:
+            squared_correlation_similarity([[1.0, 2.0, 4.0], [value] * 3])
+        assert exc.value.row == 1
+
 
 class TestCosine:
     def test_identical_rows_give_one(self):
@@ -368,6 +385,13 @@ class TestCosine:
             S = cosine_similarity([[scale, scale], [1.0, 2.0]])
         assert S.lookup(0, 1) == pytest.approx(3.0 / np.sqrt(10.0), rel=1e-12)
         assert S.lookup(1, 0) == S.lookup(0, 1)
+
+    def test_subnormal_sum_of_squares_keeps_precision(self):
+        # 3e-160 squared is subnormal; the cosine of (3, -1) and (1, 1) is 2 / sqrt(20).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = cosine_similarity([[3e-160, -1e-160], [1.0, 1.0]])
+        assert S.lookup(0, 1) == pytest.approx(2.0 / np.sqrt(20.0), rel=1e-15)
 
     def test_zero_row_rejected_after_a_rescaled_row(self):
         with pytest.raises(DegenerateInputError, match="row 2 is all-zero") as exc:

@@ -1,6 +1,7 @@
 """Greedy strategies: equivalence, tie-breaking, evaluation counts, hybrid knobs."""
 
 import dataclasses
+import heapq
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsel import (
-    CandidateQueue,
     FacilityLocationObjective,
     FeatureBasedObjective,
     FunctionObjective,
@@ -19,10 +19,9 @@ from subsel import (
     SimilarityMatrix,
     facility_location_eval,
     hybrid_maximize,
-    lazy_greedy_step,
-    naive_greedy_step,
     sparse_from_triples,
 )
+from subsel.oracle import naive_greedy
 from instances import (
     BAD_INITIAL,
     BAD_K,
@@ -39,23 +38,6 @@ def modular_objective(costs):
     return FunctionObjective(lambda X: float(sum(costs[i] for i in X)), len(costs))
 
 
-class TestCandidateQueue:
-    def test_orders_by_bound_then_index(self):
-        q = CandidateQueue()
-        q.push(1.0, 5, 0)
-        q.push(2.0, 3, 0)
-        q.push(1.0, 2, 1)
-        assert q.pop() == (2.0, 3, 0)
-        assert q.pop() == (1.0, 2, 1)  # bound tie goes to the smaller index
-        assert q.pop() == (1.0, 5, 0)
-
-    def test_len_and_truthiness(self):
-        q = CandidateQueue()
-        assert len(q) == 0 and not q
-        q.push(0.5, 0, 0)
-        assert len(q) == 1 and q
-
-
 class TestSelectionResult:
     def test_len_is_ranking_length(self):
         r = SelectionResult((3, 1), (2.0, 1.0), 7)
@@ -67,61 +49,64 @@ class TestSelectionResult:
             r.evaluations = 9
 
 
+def _heap_lazy(obj, k):
+    """Lazy greedy written out with ``heapq``, started from +inf bounds.
+
+    It shares no code with the optimizer's loop. Returns the ranking, the
+    gains and the evaluations of each step, and asserts after every step
+    that each remaining bound is at or above its candidate's true gain.
+    """
+    state = obj.new_state()
+    heap = [(-math.inf, v, -1) for v in range(obj.n_examples)]
+    gains, spent = [], []
+    for step in range(k):
+        evals = 0
+        while heap[0][2] != step:
+            v = heap[0][1]
+            heapq.heapreplace(heap, (-obj.gain(state, v), v, step))
+            evals += 1
+        neg, v, _ = heapq.heappop(heap)
+        obj.update(state, v)
+        gains.append(-neg)
+        spent.append(evals)
+        for neg_bound, index, _ in heap:
+            assert -neg_bound >= obj.gain(state, index) - 1e-12
+    return tuple(state.selected), tuple(gains), spent
+
+
 class TestNaiveStep:
+    """One sweep step: every candidate is evaluated and the argmax is taken."""
+
     def test_modular_argmax(self):
-        obj = modular_objective([3.0, 1.0, 2.0])
-        state = obj.new_state()
-        chosen, gain, sweep = naive_greedy_step(obj, state, [0, 1, 2])
-        assert (chosen, gain) == (0, 3.0)
-        assert sweep == [3.0, 1.0, 2.0]
-        assert state.selected == [0]
+        result = hybrid_maximize(modular_objective([3.0, 1.0, 2.0]), 1, naive_rounds=1)
+        assert (result.ranking, result.gains, result.evaluations) == ((0,), (3.0,), 3)
 
     def test_tie_breaks_to_smallest_index(self):
-        obj = modular_objective([2.0, 2.0, 2.0])
-        chosen, gain, _ = naive_greedy_step(obj, obj.new_state(), [0, 1, 2])
-        assert chosen == 0
+        result = hybrid_maximize(modular_objective([2.0, 2.0, 2.0]), 1, naive_rounds=1)
+        assert result.ranking == (0,)
 
     def test_facility_location_first_choice(self):
         # Single-element values are 1.7, 1.8, 1.5; the argmax is index 1.
-        obj = FacilityLocationObjective(S3)
-        chosen, gain, _ = naive_greedy_step(obj, obj.new_state(), [0, 1, 2])
-        assert chosen == 1
-        assert gain == pytest.approx(1.8, rel=1e-12)
-
-    def test_needs_candidates(self):
-        obj = modular_objective([1.0])
-        with pytest.raises(InputError):
-            naive_greedy_step(obj, obj.new_state(), [])
+        result = hybrid_maximize(FacilityLocationObjective(S3), 1, naive_rounds=1)
+        assert result.ranking == (1,)
+        assert result.gains[0] == pytest.approx(1.8, rel=1e-12)
 
 
 class TestLazyStep:
-    def test_first_step_matches_naive(self):
-        obj = FacilityLocationObjective(S3)
-        state = obj.new_state()
-        q = CandidateQueue()
-        for v in range(3):
-            q.push(np.inf, v, -1)
-        chosen, gain, spent = lazy_greedy_step(obj, state, q, 0)
-        assert chosen == 1
-        assert gain == pytest.approx(1.8, rel=1e-12)
-        assert spent == 3  # every seed bound was stale
+    """Lazy greedy from +inf bounds, as a check on the optimizer's heap loop."""
 
-    def test_needs_nonempty_queue(self):
-        obj = modular_objective([1.0])
-        with pytest.raises(InputError):
-            lazy_greedy_step(obj, obj.new_state(), CandidateQueue(), 0)
+    def test_first_step_matches_naive(self):
+        ranking, gains, spent = _heap_lazy(FacilityLocationObjective(S3), 1)
+        assert ranking == (1,)
+        assert gains[0] == pytest.approx(1.8, rel=1e-12)
+        assert spent == [3]  # every seed bound was stale
 
     def test_bounds_stay_above_true_gains(self):
         rng = np.random.default_rng(13)
         obj = FacilityLocationObjective(rand_similarity(rng, 30))
-        state = obj.new_state()
-        q = CandidateQueue()
-        for v in range(30):
-            q.push(np.inf, v, -1)
-        for it in range(10):
-            lazy_greedy_step(obj, state, q, it)
-            for neg_bound, index, _ in q._heap:
-                assert -neg_bound >= obj.gain(state, index) - 1e-12
+        ranking, gains, _ = _heap_lazy(obj, 10)  # asserts the bounds at every step
+        result = hybrid_maximize(obj, 10)
+        assert (ranking, gains) == (result.ranking, result.gains)
 
 
 class TestModularRuns:
@@ -201,16 +186,6 @@ class TestFirstLazyStep:
         return [FeatureBasedObjective(F), FacilityLocationObjective(dense),
                 FacilityLocationObjective(sparse)]
 
-    @staticmethod
-    def _inf_seeded_lazy(obj, k):
-        """Per-step evaluations of lazy greedy started from +inf bounds."""
-        state, q, spent = obj.new_state(), CandidateQueue(), []
-        for v in range(obj.n_examples):
-            q.push(np.inf, v, -1)
-        for it in range(k):
-            spent.append(lazy_greedy_step(obj, state, q, it)[2])
-        return state.selected, spent
-
     def test_zero_and_one_naive_rounds_spend_identical_evaluations(self):
         for obj in self._objectives():
             runs = []
@@ -221,8 +196,8 @@ class TestFirstLazyStep:
             (lazy, lazy_evals), (one, one_evals) = runs
             assert lazy_evals == one_evals
             assert (lazy.ranking, lazy.gains) == (one.ranking, one.gains)
-            ranking, spent = self._inf_seeded_lazy(obj, 12)
-            assert tuple(ranking) == lazy.ranking
+            ranking, _, spent = _heap_lazy(obj, 12)
+            assert ranking == lazy.ranking
             assert list(np.cumsum(spent)) == lazy_evals
 
 
@@ -310,6 +285,37 @@ class TestTieHeavyInvariance:
             for rounds in (0, 1, k)
         ]
         assert _one_answer(results)
+
+
+class TestAgainstNaiveReference:
+    """The optimizer against ``oracle.naive_greedy``, which has no heap."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_tie_heavy_rows_match_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        k = int(rng.integers(1, n + 1))
+        F = _tied_rows(rng, n, 4)
+        S = _tied_rows(rng, n, n)
+        dense = SimilarityMatrix.from_dense(S)
+        sparse = sparse_from_triples(
+            n, [(int(i), int(j), float(S[i, j])) for i, j in np.argwhere(S != 0.0)]
+        )
+        factories = (
+            lambda: FeatureBasedObjective(F),
+            lambda: FacilityLocationObjective(dense),
+            lambda: FacilityLocationObjective(sparse),
+        )
+        for factory in factories:
+            for initial in ([], [int(rng.integers(n))]):
+                reference = naive_greedy(factory(), k, initial)
+                for rounds in (0, 1, 2, k):
+                    result = hybrid_maximize(factory(), k, naive_rounds=rounds, initial=initial)
+                    assert result.ranking == reference.ranking
+                    assert np.array(result.gains).tobytes() == np.array(reference.gains).tobytes()
+                    if rounds == k:
+                        assert result.evaluations == reference.evaluations
 
 
 def _inf_with_0_and_1():

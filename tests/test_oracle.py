@@ -1,5 +1,6 @@
 """From-scratch evaluators, brute force and the approximation-ratio check."""
 
+import heapq
 import math
 from types import SimpleNamespace
 
@@ -25,6 +26,7 @@ from subsel.oracle import (
     OracleReport,
     brute_force_max,
     check_ratio,
+    naive_greedy,
 )
 from instances import BAD_INITIAL, rand_features, rand_similarity, sparse_and_dense
 
@@ -150,6 +152,39 @@ class TestOracleIndependence:
         assert feature_based_eval(F, None, "sqrt", [0]) == pytest.approx(
             1.0 + math.sqrt(2.0), rel=1e-12
         )
+
+
+def _modular(costs):
+    return FunctionObjective(lambda X: float(sum(costs[i] for i in X)), len(costs))
+
+
+class TestNaiveGreedy:
+    def test_modular_ranking_gains_and_evaluations(self):
+        result = naive_greedy(_modular([3.0, 1.0, 2.0]), 2)
+        assert (result.ranking, result.gains, result.evaluations) == ((0, 2), (3.0, 2.0), 3 + 2)
+
+    def test_ties_break_to_the_smallest_index(self):
+        assert naive_greedy(_modular([1.0, 2.0, 2.0, 2.0]), 3).ranking == (1, 2, 3)
+
+    def test_initial_indices_are_replayed_first(self):
+        result = naive_greedy(_modular([3.0, 1.0, 2.0]), 2, initial=[1])
+        assert (result.ranking, result.gains, result.evaluations) == ((1, 0), (1.0, 3.0), 1 + 2)
+
+    def test_k_capped_at_n(self):
+        assert naive_greedy(FacilityLocationObjective(S3), 10).ranking == (1, 2, 0)
+
+    def test_runs_without_the_optimizer_loop(self, monkeypatch):
+        import subsel.optimizer
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference greedy used the optimizer's loop")
+
+        monkeypatch.setattr(subsel.optimizer, "_gain", refuse)
+        for name in ("heapify", "heappush", "heappop", "heapreplace"):
+            monkeypatch.setattr(heapq, name, refuse)
+        result = naive_greedy(FacilityLocationObjective(S3), 2)
+        assert result.ranking == (1, 2)
+        assert sum(result.gains) == pytest.approx(facility_location_eval(S3, [1, 2]), rel=1e-12)
 
 
 class TestBruteForce:
