@@ -23,7 +23,8 @@ Parsing streams the file: a file whose every line is a record is read by
 ``np.loadtxt`` straight from its path, without an in-memory copy of the
 text. Any other file (blank lines, non-ASCII bytes, other line ends, a
 malformed record) is read again by a per-line reader, which accepts the
-same syntax and names the first bad line.
+same syntax and names the first bad line. A feature matrix parsed by
+either reader is adopted by the selection without a copy.
 
 The output file carries a ``rank,index,gain`` header and one line per
 selected example, gains printed with 17 significant digits so they parse
@@ -50,7 +51,8 @@ from .exceptions import (
     InputError,
     TripleValidationError,
 )
-from .matrices import TRIPLE_DTYPE, SimilarityMatrix, sparse_from_triples
+from . import objectives
+from .matrices import TRIPLE_DTYPE, SimilarityMatrix, _check_sparse_size, sparse_from_triples
 from .selector import FacilityLocationSelector, FeatureBasedSelector
 
 __all__ = ["build_parser", "run", "main"]
@@ -261,8 +263,10 @@ def _parse_count(path: str, lineno: int, line: str) -> int:
         n = int(line[2:])
     except ValueError:
         raise CliError(f"{path}:{lineno}: cannot parse {line[2:]!r} as a count") from None
-    if n < 1:
-        raise CliError(f"{path}:{lineno}: n must be at least 1, got {n}")
+    try:
+        _check_sparse_size(n)
+    except InputError as exc:
+        raise CliError(f"{path}:{lineno}: {exc}") from None
     return n
 
 
@@ -356,9 +360,12 @@ def run(args) -> int:
     selector = _build_selector(args)
     data, lines = _load_data(args)
     try:
+        # The parsed matrix is ours alone: adopt it rather than copy it.
         if args.similarity == "precomputed" and args.format == "csv":
-            # The parsed matrix is ours alone: adopt it rather than copy it.
             data = SimilarityMatrix._from_owned(data)
+        elif args.function == "feature-based":
+            # objectives.FeatureMatrix is the class the objective takes as is.
+            data = objectives.FeatureMatrix._from_owned(data)
         selector.fit(data)
     except DegenerateInputError as exc:
         raise CliError(f"{_where(args.input, lines, exc.row)}: {exc}") from None

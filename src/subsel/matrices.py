@@ -40,6 +40,10 @@ __all__ = [
 #: Structured dtype of a triples array accepted by :func:`sparse_from_triples`.
 TRIPLE_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
+# Largest n accepted by sparse_from_triples: its sort key rows * n + cols
+# stays below n * n, which must fit in int64.
+_MAX_SPARSE_N = 3_037_000_499
+
 
 def _is_csr(data) -> bool:
     """Whether ``data`` has the attributes of a CSR matrix (scipy's, or a look-alike)."""
@@ -92,10 +96,27 @@ class FeatureMatrix:
     value, so no selection's accumulated feature mass can overflow to inf;
     a column that does not is reported at the first row where its running
     sum overflows.
+
+    ``values`` is always copied, so the caller's array is never frozen or
+    aliased; the matrix holds that one copy.
     """
 
     def __init__(self, values):
-        arr = _as_2d_float(values, "feature matrix")
+        self._adopt(_as_2d_float(values, "feature matrix"))
+
+    @classmethod
+    def _from_owned(cls, arr: np.ndarray) -> "FeatureMatrix":
+        """Check a 2-D float64 array and wrap it without copying.
+
+        For arrays the library made and nobody else holds: ``arr`` is made
+        read-only in place and becomes the matrix's storage.
+        """
+        matrix = cls.__new__(cls)
+        matrix._adopt(arr)
+        return matrix
+
+    def _adopt(self, arr: np.ndarray) -> None:
+        """Check ``arr``, freeze it and make it the matrix's storage."""
         pos = _first_invalid(arr)
         if pos is not None:
             raise ConstraintViolationError(
@@ -308,6 +329,15 @@ def squared_correlation_similarity(data) -> SimilarityMatrix:
         raise InputError(
             f"squared-correlation similarity needs at least 2 features per row, got {arr.shape[1]}"
         )
+    # Compared exactly: the variance of a constant row can keep rounding
+    # residue (np.var([0.1, 0.1, 0.1]) is 1.9e-34), which would pass as a
+    # tiny correlation.
+    flat = np.flatnonzero(arr.max(axis=1) == arr.min(axis=1))
+    if flat.size:
+        raise DegenerateInputError(
+            f"row {flat[0]} has zero variance across its features; correlation is undefined",
+            row=int(flat[0]),
+        )
     with np.errstate(over="ignore", invalid="ignore"):
         variances = arr.var(axis=1)
     # A variance that overflows (inf, or NaN from an overflowing mean) or is
@@ -319,13 +349,6 @@ def squared_correlation_similarity(data) -> SimilarityMatrix:
         arr = arr.copy()
         _, exponent = np.frexp(np.abs(arr[extreme]).max(axis=1))
         arr[extreme] = np.ldexp(arr[extreme], -exponent[:, None])
-        variances[extreme] = arr[extreme].var(axis=1)
-    flat = np.flatnonzero(variances == 0.0)
-    if flat.size:
-        raise DegenerateInputError(
-            f"row {flat[0]} has zero variance across its features; correlation is undefined",
-            row=int(flat[0]),
-        )
     # corrcoef returns a 0-d value for a single row.
     sim = np.atleast_2d(np.corrcoef(arr))
     np.square(sim, out=sim)
@@ -368,6 +391,17 @@ def cosine_similarity(data, clamp_negative: bool = False) -> SimilarityMatrix:
     return SimilarityMatrix._from_owned(sim)
 
 
+def _check_sparse_size(n: int) -> None:
+    """Refuse an ``n`` that sparse_from_triples cannot build a matrix for."""
+    if n < 1:
+        raise DegenerateInputError(f"similarity matrix needs at least one example, got n={n}")
+    if n > _MAX_SPARSE_N:
+        raise InputError(
+            f"sparse similarity matrix of n={n} examples is too large: n must be at most "
+            f"{_MAX_SPARSE_N}, so that n * n pairs fit a 64-bit index"
+        )
+
+
 def sparse_from_triples(n: int, triples: Iterable[Sequence] | np.ndarray) -> SimilarityMatrix:
     """Build a sparse SimilarityMatrix from (row, col, value) triples.
 
@@ -376,10 +410,10 @@ def sparse_from_triples(n: int, triples: Iterable[Sequence] | np.ndarray) -> Sim
     and >= 0, and no (row, col) pair may repeat. Entries not listed are zero.
     Validation errors identify the first offending triple in input order by
     its position in the input sequence; range and value errors take
-    precedence over duplicates.
+    precedence over duplicates. ``n`` may be at most 3,037,000,499, so that
+    the n * n pairs fit a 64-bit index.
     """
-    if n < 1:
-        raise DegenerateInputError(f"similarity matrix needs at least one example, got n={n}")
+    _check_sparse_size(n)
     if not (isinstance(triples, np.ndarray) and triples.dtype == TRIPLE_DTYPE):
         triples = _triple_array(triples)
     rows, cols, vals = triples["row"], triples["col"], triples["value"]
@@ -392,17 +426,23 @@ def sparse_from_triples(n: int, triples: Iterable[Sequence] | np.ndarray) -> Sim
         if bad_index[k]:
             raise TripleValidationError(f"triple #{k} index out of range for n={n}: {t}", k, t)
         raise TripleValidationError(f"triple #{k} has {_kind(t[2])} value: {t}", k, t)
+    del bad_index, bad
 
-    order = np.lexsort((cols, rows))  # stable: equal pairs keep input order
-    rows_s, cols_s = rows[order], cols[order]
-    repeat = (rows_s[1:] == rows_s[:-1]) & (cols_s[1:] == cols_s[:-1])
+    # One int64 key per pair, ordered as (row, col); exact, since
+    # 0 <= key < n * n <= 2**63 - 1.
+    key = rows * n + cols
+    order = np.argsort(key, kind="stable")  # equal pairs keep input order
+    key = key[order]
+    repeat = key[1:] == key[:-1]
     if repeat.any():
         k = int(order[1:][repeat].min())  # earliest later occurrence in input order
         t = triples[k].item()
         raise TripleValidationError(f"duplicate (row, col) pair in triple #{k}: {t}", k, t)
+    del key, repeat
 
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    cols_s = cols[order]
     vals_s = vals[order]
     for a in (indptr, cols_s, vals_s):
         a.setflags(write=False)

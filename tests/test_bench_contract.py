@@ -89,3 +89,27 @@ def test_traced_fit_with_initial_and_naive_rounds_satisfies_the_trace_checks():
     # Two replayed indices, then sweeps over 23 and 22 candidates.
     assert [r.evaluations for r in records[:4]] == [1, 2, 2 + 23, 2 + 23 + 22]
     assert selector.result_.evaluations == records[-1].evaluations == 64
+
+
+def test_traced_cli_feature_run_satisfies_the_trace_checks(tmp_path, capsys):
+    # The CLI adopts its parsed feature matrix as the FeatureMatrix the
+    # objective takes as is; that must hold while the tracer has swapped
+    # that class for its own subclass.
+    from subsel.cli import main
+
+    spans = _load_spans()
+    path = tmp_path / "in.csv"
+    np.savetxt(path, np.random.default_rng(19).uniform(size=(30, 4)), delimiter=",")
+    tracer = spans.Tracer("contract-cli")
+    with spans.instrument(tracer):
+        t0 = time.perf_counter()
+        with tracer.span("workload"):
+            code = main(["--function", "feature-based", "--k", "5", "--input", str(path),
+                         "--output", str(tmp_path / "out.csv"), "--verbose"])
+        wall = time.perf_counter() - t0
+
+    assert code == 0
+    last = capsys.readouterr().err.splitlines()[-1]
+    evaluations = int(last.split("evaluations=")[1].split()[0])
+    assert spans.trace_problem(tracer, wall, evaluations) == ""
+    assert (tmp_path / "out.csv").read_text().count("\n") == 6

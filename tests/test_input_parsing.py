@@ -152,6 +152,14 @@ class TestBoundaryDiagnostics:
         err = capsys.readouterr().err
         assert "in.txt:3" in err and "row,col,value" in err
 
+    @pytest.mark.parametrize("text", ["n=3037000500\n0,0,1.0\n", "n=3037000500\n0,0,1.0\n\n  \n"])
+    def test_count_too_large_for_a_sparse_matrix_names_the_count_line(self, tmp_path, capsys, text):
+        # Refused before any triple is read or any array is allocated.
+        assert run_main(tmp_path, TRIPLES, text, "in.txt") == 1
+        err = capsys.readouterr().err
+        assert "in.txt:1:" in err and "at most 3037000499" in err
+        assert "Traceback" not in err
+
     def test_invalid_utf8_is_a_read_error(self, tmp_path, capsys):
         (tmp_path / "in.csv").write_bytes(b"1,2\n\xff3,4\n")
         code = main([*FEATURES, "--input", str(tmp_path / "in.csv"),

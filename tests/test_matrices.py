@@ -216,6 +216,71 @@ class TestSparseSimilarity:
         assert np.array_equal(S.to_dense(), expected)
 
 
+def _lexsort_reference(n, triples):
+    """(indptr, cols, vals) of a CSR build by a stable lexsort of (col, row), or
+    the index of the earliest later occurrence of a repeated pair."""
+    rows, cols, vals = triples["row"], triples["col"], triples["value"]
+    order = np.lexsort((cols, rows))
+    rows_s, cols_s = rows[order], cols[order]
+    repeat = (rows_s[1:] == rows_s[:-1]) & (cols_s[1:] == cols_s[:-1])
+    if repeat.any():
+        return int(order[1:][repeat].min())
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return indptr, cols_s, vals[order]
+
+
+@st.composite
+def _triples(draw, duplicates):
+    n = draw(st.integers(1, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(pair, max_size=40, unique=not duplicates))
+    if duplicates:
+        pairs += draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5)) if pairs else [(0, 0)] * 2
+        pairs = draw(st.permutations(pairs))
+    elif draw(st.booleans()):
+        pairs = sorted(pairs)
+    triples = np.empty(len(pairs), dtype=TRIPLE_DTYPE)
+    for k, (i, j) in enumerate(pairs):
+        triples[k] = (i, j, draw(st.floats(0.0, 1e6, allow_nan=False)))
+    return n, triples
+
+
+class TestSparseSortEquivalence:
+    """The one-key sort builds exactly what a lexsort of (col, row) builds."""
+
+    @given(_triples(duplicates=False))
+    @settings(max_examples=200, deadline=None)
+    def test_csr_arrays_match_the_lexsort_reference_bit_for_bit(self, case):
+        n, triples = case
+        S = sparse_from_triples(n, triples)
+        indptr, cols, vals = _lexsort_reference(n, triples)
+        assert S._indptr.tobytes() == indptr.astype(np.int64).tobytes()
+        assert S._cols.dtype == np.int64 and S._cols.tobytes() == cols.tobytes()
+        assert S._vals.dtype == np.float64 and S._vals.tobytes() == vals.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_no_triples_and_one_example(self, n):
+        for triples in ([], [(0, 0, 0.5)]):
+            S = sparse_from_triples(n, triples)
+            indptr, cols, vals = _lexsort_reference(n, np.array(triples, dtype=TRIPLE_DTYPE))
+            assert S._indptr.tolist() == indptr.tolist()
+            assert S._cols.tolist() == cols.tolist() and S._vals.tolist() == vals.tolist()
+
+    @given(_triples(duplicates=True))
+    @settings(max_examples=200, deadline=None)
+    def test_duplicate_error_names_the_triple_of_the_reference_rule(self, case):
+        n, triples = case
+        with pytest.raises(TripleValidationError, match="duplicate") as exc:
+            sparse_from_triples(n, triples)
+        assert exc.value.triple_index == _lexsort_reference(n, triples)
+        assert exc.value.triple == triples[exc.value.triple_index].item()
+
+    def test_n_whose_square_passes_int64_is_refused_before_any_allocation(self):
+        # 3_037_000_500 ** 2 > 2 ** 63; the row pointers alone would be 24 GB.
+        with pytest.raises(InputError, match="n=3037000500 .* at most 3037000499"):
+            sparse_from_triples(3_037_000_500, [])
+
+
 class TestCsrSimilarity:
     """``as_similarity`` reads anything shaped like a CSR matrix through the triples path."""
 
@@ -312,6 +377,12 @@ class TestSquaredCorrelation:
         with pytest.raises(DegenerateInputError) as exc:
             squared_correlation_similarity([[1.0, 2.0], [5.0, 5.0]])
         assert exc.value.row == 1
+
+    def test_constant_row_with_an_inexact_mean_rejected(self):
+        # np.var([0.1, 0.1, 0.1]) is 1.9e-34, not 0: rounding residue of the mean.
+        with pytest.raises(DegenerateInputError, match="row 0 has zero variance") as exc:
+            squared_correlation_similarity([[0.1, 0.1, 0.1], [1.0, 2.0, 4.0]])
+        assert exc.value.row == 0
 
     def test_needs_at_least_two_features(self):
         with pytest.raises(InputError):
