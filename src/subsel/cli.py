@@ -15,9 +15,11 @@ triples
 
 Both are UTF-8 text. Lines end in ``\n`` or ``\r\n`` (a lone ``\r`` also
 works), the last line needs no line end, and blank or whitespace-only lines
-are skipped. Numbers use Python's float syntax (signs, exponents). Every
-value must be finite: ``nan`` and ``inf`` are rejected with the file and
-line they are on.
+are skipped. Fields are split on commas and nothing else: quotes are not
+stripped, so ``"1"`` is an error, and a line of empty fields such as ``,``
+is an error, not a blank line. Numbers use Python's float syntax (signs,
+exponents). Every value must be finite: ``nan`` and ``inf`` are rejected
+with the file and line they are on.
 
 Parsing streams the file: a file whose every line is a record is read by
 ``np.loadtxt`` straight from its path, without an in-memory copy of the
@@ -35,22 +37,16 @@ output path is written atomically and only on success.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import tempfile
 import warnings
 from contextlib import contextmanager
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .exceptions import (
-    ConstraintViolationError,
-    DegenerateInputError,
-    InputError,
-    TripleValidationError,
-)
+from .exceptions import InputError
 from . import objectives
 from .matrices import TRIPLE_DTYPE, SimilarityMatrix, _check_sparse_size, sparse_from_triples
 from .selector import FacilityLocationSelector, FeatureBasedSelector
@@ -142,27 +138,40 @@ def _opened(path: str):
         raise CliError(f"{path}: cannot read input ({exc.strerror or exc})") from None
 
 
-def _read_lines(path: str) -> list[str]:
+def _records(path: str, skip: int = 0) -> Iterator[tuple[int, str]]:
+    """Yield (line number, stripped text) of every non-blank line of ``path``
+    after its first ``skip`` lines."""
     with _opened(path) as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8").splitlines()
+        lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: cannot read input (not UTF-8 text: {exc})") from None
+    for no, line in enumerate(lines[skip:], start=skip + 1):
+        if line := line.strip():
+            yield no, line
+
+
+def _parse(path: str, no: int, field: str, kind, what: str):
+    """``kind(field)``, or CliError naming ``path:no`` and the field."""
+    try:
+        return kind(field)
+    except ValueError:
+        raise CliError(f"{path}:{no}: cannot parse {field.strip()!r} as {what}") from None
 
 
 # Bytes a plain input line may hold besides a "\r" that ends it.
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
 
 
-def _plain_line_count(path: str) -> int | None:
-    """Number of lines in ``path``, or None unless it is printable ASCII whose
-    lines end in ``\\n`` or ``\\r\\n``.
+def _loadtxt(path: str, dtype: np.dtype, skip: int) -> tuple[np.ndarray, range] | None:
+    """(records, line numbers) of ``path`` after its first ``skip`` lines, read
+    by np.loadtxt, or None unless that gives one record for every such line.
 
-    For such a file np.loadtxt and str.splitlines break lines at the same
-    places, so numpy's rows map onto line numbers whenever no line is blank.
+    Only printable ASCII files whose lines end in ``\\n`` or ``\\r\\n`` qualify:
+    np.loadtxt and str.splitlines break those at the same places.
     """
-    lines, last = 0, b""
+    n_lines, last = 0, b""
     with _opened(path) as fh:
         while chunk := fh.read(1 << 20):
             if chunk.endswith(b"\r"):
@@ -170,34 +179,28 @@ def _plain_line_count(path: str) -> int | None:
             rest = chunk.translate(None, _PLAIN_BYTES)
             if rest and (rest.strip(b"\r") or chunk.count(b"\r\n") != len(rest)):
                 return None
-            lines += chunk.count(b"\n")
+            n_lines += chunk.count(b"\n")
             last = chunk[-1:]
-    return lines + (last not in (b"", b"\n"))
-
-
-def _loadtxt(path: str, dtype: np.dtype, skiprows: int) -> np.ndarray | None:
-    """Comma-separated records of ``path`` after ``skiprows`` lines, or None
-    when numpy refuses the file (blank-only input included)."""
+    n_lines += last not in (b"", b"\n")
+    if n_lines <= skip:
+        return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return np.loadtxt(
-                path, dtype=dtype, delimiter=",", comments=None, skiprows=skiprows,
+            records = np.loadtxt(
+                path, dtype=dtype, delimiter=",", comments=None, skiprows=skip,
                 ndmin=1 if dtype.names else 2, encoding="ascii",
             )
         except (OSError, ValueError, Warning):
             return None
+    if len(records) != n_lines - skip:
+        return None
+    return records, range(skip + 1, n_lines + 1)
 
 
 def load_csv_matrix(path: str, header: bool) -> tuple[np.ndarray, Sequence[int]]:
     """Parse a CSV of reals. Returns (matrix, line number of each row)."""
-    first = 2 if header else 1
-    n_lines = _plain_line_count(path)
-    if n_lines is not None and n_lines >= first:
-        matrix = _loadtxt(path, np.dtype(np.float64), first - 1)
-        if matrix is not None and len(matrix) == n_lines - first + 1:
-            return matrix, range(first, n_lines + 1)
-    return _csv_by_line(path, header)
+    return _loadtxt(path, np.dtype(np.float64), int(header)) or _csv_by_line(path, header)
 
 
 def load_triples(path: str) -> tuple[int, np.ndarray | list[tuple[int, int, float]], Sequence[int]]:
@@ -205,102 +208,82 @@ def load_triples(path: str) -> tuple[int, np.ndarray | list[tuple[int, int, floa
 
     ``triples`` is a :data:`~subsel.matrices.TRIPLE_DTYPE` array, or a list
     of tuples where the per-line reader ran; sparse_from_triples takes both.
+    The count is checked before any triple is read.
     """
-    n_lines = _plain_line_count(path)
-    if n_lines is not None and n_lines >= 2:
-        with _opened(path) as fh:
-            first = fh.readline().decode("ascii").strip()
-        if first.startswith("n="):
-            n = _parse_count(path, 1, first)
-            triples = _loadtxt(path, TRIPLE_DTYPE, 1)
-            if triples is not None and len(triples) == n_lines - 1:
-                return n, triples, range(2, n_lines + 1)
+    with _opened(path) as fh:
+        head = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+    # A printable ASCII first line is line 1 to str.splitlines too.
+    if head.strip().startswith(b"n=") and not head.translate(None, _PLAIN_BYTES):
+        n = _parse_count(path, 1, head.decode("ascii").strip())
+        loaded = _loadtxt(path, TRIPLE_DTYPE, 1)
+        if loaded is not None:
+            return n, *loaded
     return _triples_by_line(path)
 
 
 # The per-line readers below run only on files the numpy path above does not
 # take. They accept every file the CLI accepts and name the first bad line of
-# every file it rejects.
+# every file it rejects. Fields are split on commas; quotes are not stripped.
 
 
 def _csv_by_line(path: str, header: bool) -> tuple[np.ndarray, list[int]]:
     rows: list[list[float]] = []
     lines: list[int] = []
-    width = None
-    reader = csv.reader(_read_lines(path))
-    for lineno, record in enumerate(reader, start=1):
-        if header and lineno == 1:
-            continue
-        if not record or all(not cell.strip() for cell in record):
-            continue
-        if width is None:
-            width = len(record)
-        elif len(record) != width:
-            raise CliError(f"{path}:{lineno}: expected {width} fields, got {len(record)}")
+    for no, line in _records(path, int(header)):
+        fields = line.split(",")
+        if not rows:
+            width = len(fields)
+        elif len(fields) != width:
+            raise CliError(f"{path}:{no}: expected {width} fields, got {len(fields)}")
         try:
-            rows.append([float(cell) for cell in record])
+            rows.append([float(field) for field in fields])
         except ValueError:
-            bad = next(c for c in record if not _is_float(c))
-            raise CliError(f"{path}:{lineno}: cannot parse {bad.strip()!r} as a number") from None
-        lines.append(lineno)
+            for field in fields:  # name the first field float() refuses
+                _parse(path, no, field, float, "a number")
+            raise
+        lines.append(no)
     if not rows:
         raise CliError(f"{path}: empty dataset")
     return np.array(rows, dtype=np.float64), lines
 
 
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
-
-
-def _parse_count(path: str, lineno: int, line: str) -> int:
+def _parse_count(path: str, no: int, line: str) -> int:
     if not line.startswith("n="):
-        raise CliError(f"{path}:{lineno}: triples input must start with an 'n=<count>' line")
-    try:
-        n = int(line[2:])
-    except ValueError:
-        raise CliError(f"{path}:{lineno}: cannot parse {line[2:]!r} as a count") from None
+        raise CliError(f"{path}:{no}: triples input must start with an 'n=<count>' line")
+    n = _parse(path, no, line[2:], int, "a count")
     try:
         _check_sparse_size(n)
     except InputError as exc:
-        raise CliError(f"{path}:{lineno}: {exc}") from None
+        raise CliError(f"{path}:{no}: {exc}") from None
     return n
 
 
+def _triple(line: str) -> tuple[int, int, float]:
+    row, col, value = line.split(",")
+    return int(row), int(col), float(value)
+
+
 def _triples_by_line(path: str) -> tuple[int, list[tuple[int, int, float]], list[int]]:
-    raw = [(i + 1, line.strip()) for i, line in enumerate(_read_lines(path))]
-    rows = [(no, line) for no, line in raw if line]
-    if not rows:
+    records = _records(path)
+    first = next(records, None)
+    if first is None:
         raise CliError(f"{path}: empty dataset")
-    n = _parse_count(path, *rows[0])
+    n = _parse_count(path, *first)
     triples: list[tuple[int, int, float]] = []
     lines: list[int] = []
-    for no, line in rows[1:]:
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise CliError(f"{path}:{no}: expected 'row,col,value', got {line!r}")
-        try:
-            triples.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        except ValueError:
-            raise CliError(f"{path}:{no}: cannot parse {line!r} as 'row,col,value'") from None
+    for no, line in records:
+        triples.append(_parse(path, no, line, _triple, "'row,col,value'"))
         lines.append(no)
     return n, triples, lines
 
 
 def load_initial(path: str) -> list[int]:
-    indices = []
-    for no, line in enumerate(_read_lines(path), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            indices.append(int(line))
-        except ValueError:
-            raise CliError(f"{path}:{no}: cannot parse {line!r} as an index") from None
-    return indices
+    """Indices of an ``--initial`` file, one per line; ``#`` starts a comment."""
+    return [
+        _parse(path, no, text, int, "an index")
+        for no, line in _records(path)
+        if (text := line.split("#", 1)[0].strip())
+    ]
 
 
 def _build_selector(args):
@@ -312,28 +295,6 @@ def _build_selector(args):
     if args.function == "feature-based":
         return FeatureBasedSelector(args.k, concave=args.concave or "sqrt", **common)
     return FacilityLocationSelector(args.k, similarity=args.similarity, **common)
-
-
-def _load_data(args):
-    """Parse the input file into selector-ready data plus row -> line mapping."""
-    if args.format == "triples":
-        n, triples, lines = load_triples(args.input)
-        try:
-            return sparse_from_triples(n, triples), lines
-        except TripleValidationError as exc:
-            raise CliError(f"{_where(args.input, lines, exc.triple_index)}: {exc}") from None
-    matrix, lines = load_csv_matrix(args.input, args.header)
-    if args.similarity == "precomputed" and matrix.shape[0] != matrix.shape[1]:
-        raise CliError(
-            f"{args.input}: precomputed similarity matrix must be square, "
-            f"got {matrix.shape[0]} rows of {matrix.shape[1]} fields"
-        )
-    return matrix, lines
-
-
-def _where(path: str, lines: Sequence[int], row: int | None) -> str:
-    """``path:line`` of data row ``row``, or just ``path`` when no row is known."""
-    return path if row is None else f"{path}:{lines[row]}"
 
 
 def _write_output(path: str, result) -> None:
@@ -358,22 +319,26 @@ def _write_output(path: str, result) -> None:
 def run(args) -> int:
     _validate_flags(args)
     selector = _build_selector(args)
-    data, lines = _load_data(args)
+    if args.format == "triples":
+        n, triples, lines = load_triples(args.input)
+    else:
+        matrix, lines = load_csv_matrix(args.input, args.header)
     try:
-        # The parsed matrix is ours alone: adopt it rather than copy it.
-        if args.similarity == "precomputed" and args.format == "csv":
-            data = SimilarityMatrix._from_owned(data)
+        # The parsed arrays are ours alone: adopt them rather than copy them.
+        if args.format == "triples":
+            data = sparse_from_triples(n, triples)
+        elif args.similarity == "precomputed":
+            data = SimilarityMatrix._from_owned(matrix)
         elif args.function == "feature-based":
             # objectives.FeatureMatrix is the class the objective takes as is.
-            data = objectives.FeatureMatrix._from_owned(data)
+            data = objectives.FeatureMatrix._from_owned(matrix)
+        else:
+            data = matrix
         selector.fit(data)
-    except DegenerateInputError as exc:
-        raise CliError(f"{_where(args.input, lines, exc.row)}: {exc}") from None
-    except ConstraintViolationError as exc:
-        row = None if exc.position is None else exc.position[0]
-        raise CliError(f"{_where(args.input, lines, row)}: {exc}") from None
-    except (InputError, IndexError) as exc:
-        raise CliError(str(exc)) from None
+    except InputError as exc:
+        raise CliError(str(exc) if exc.row is None else f"{args.input}:{lines[exc.row]}: {exc}") from None
+    except IndexError as exc:
+        raise CliError(f"{args.initial}: {exc}" if args.initial else str(exc)) from None
     _write_output(args.output, selector.result_)
     return 0
 

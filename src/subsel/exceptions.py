@@ -2,25 +2,36 @@
 
 All input-contract violations derive from :class:`InputError` (a ValueError),
 so callers can catch one type at an API boundary while tests can distinguish
-the specific failure. Out-of-range indices raise the builtin IndexError.
+the specific failure. Out-of-range indices raise the builtin IndexError;
+an index or count that is not an integer raises InputError (:func:`_integer`).
 """
 
 from __future__ import annotations
 
+import numbers
+
 
 class InputError(ValueError):
-    """Base class for all input-contract violations."""
+    """Base class for all input-contract violations.
 
-
-class DegenerateInputError(InputError):
-    """Input is structurally unusable (empty, zero-variance row, all-zero row).
-
-    ``row`` holds the offending row index when one exists.
+    ``row`` holds the index of the offending input row (or triple) when one
+    is known, so a caller that read the input from a file can name its line.
     """
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
         self.row = row
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, or InputError naming ``name``; numpy integers count, ``bool`` does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+class DegenerateInputError(InputError):
+    """Input is structurally unusable (empty, zero-variance row, all-zero row)."""
 
 
 class ConstraintViolationError(InputError):
@@ -30,7 +41,7 @@ class ConstraintViolationError(InputError):
     """
 
     def __init__(self, message: str, position: tuple[int, int] | None = None):
-        super().__init__(message)
+        super().__init__(message, None if position is None else position[0])
         self.position = position
 
 
@@ -43,7 +54,7 @@ class TripleValidationError(InputError):
     """
 
     def __init__(self, message: str, triple_index: int, triple: tuple):
-        super().__init__(message)
+        super().__init__(message, triple_index)
         self.triple_index = triple_index
         self.triple = triple
 

@@ -25,6 +25,7 @@ from .exceptions import (
     DegenerateInputError,
     InputError,
     TripleValidationError,
+    _integer,
 )
 
 __all__ = [
@@ -216,12 +217,14 @@ class SimilarityMatrix:
             return len(self._vals)
         return int(self._n) * int(self._n)
 
-    def dense_row(self, i: int) -> np.ndarray:
-        """Row i as a length-n array (dense storage only)."""
-        return self._dense[i]
+    def row(self, i: int) -> tuple[np.ndarray | slice, np.ndarray]:
+        """Stored entries of row i as (cols, vals), cols ascending.
 
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stored entries of row i as (cols, vals), cols ascending (sparse storage only)."""
+        Dense storage stores every column: ``cols`` is ``slice(None)`` and
+        ``vals`` the whole row, so ``x[cols]`` reads any length-n ``x`` alike.
+        """
+        if self._dense is not None:
+            return slice(None), self._dense[i]
         lo, hi = self._indptr[i], self._indptr[i + 1]
         return self._cols[lo:hi], self._vals[lo:hi]
 
@@ -410,9 +413,10 @@ def sparse_from_triples(n: int, triples: Iterable[Sequence] | np.ndarray) -> Sim
     and >= 0, and no (row, col) pair may repeat. Entries not listed are zero.
     Validation errors identify the first offending triple in input order by
     its position in the input sequence; range and value errors take
-    precedence over duplicates. ``n`` may be at most 3,037,000,499, so that
-    the n * n pairs fit a 64-bit index.
+    precedence over duplicates. ``n`` is an integer of at most 3,037,000,499,
+    so that the n * n pairs fit a 64-bit index.
     """
+    n = _integer("n", n)
     _check_sparse_size(n)
     if not (isinstance(triples, np.ndarray) and triples.dtype == TRIPLE_DTYPE):
         triples = _triple_array(triples)

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import AlreadySelectedError, ConstraintViolationError, InputError
+from .exceptions import AlreadySelectedError, ConstraintViolationError, InputError, _integer
 from .matrices import FeatureMatrix, SimilarityMatrix, _first_invalid, as_similarity
 
 __all__ = [
@@ -136,7 +136,8 @@ class SubmodularObjective(ABC):
     n_examples: int
 
     def _check_candidate(self, state: ObjectiveState, v: int):
-        v = int(v)
+        if type(v) is not int:
+            v = _integer("candidate index", v)
         if not 0 <= v < self.n_examples:
             raise IndexError(f"candidate index {v} out of range for {self.n_examples} examples")
         if state.is_selected(v):
@@ -180,11 +181,8 @@ class FacilityLocationObjective(SubmodularObjective):
 
     def gain(self, state: FacilityLocationState, v: int) -> float:
         v = self._check_candidate(state, v)
-        if self._sim.is_sparse:
-            cols, vals = self._sim.row(v)
-            diff = vals - state.best_sim[cols]
-        else:
-            diff = self._sim.dense_row(v) - state.best_sim
+        cols, vals = self._sim.row(v)
+        diff = vals - state.best_sim[cols]
         # Compact to the strictly positive improvements before summing: the
         # dense path then adds the exact same floats as the sparse path.
         pos = diff[diff > 0.0]
@@ -192,11 +190,8 @@ class FacilityLocationObjective(SubmodularObjective):
 
     def update(self, state: FacilityLocationState, v: int) -> None:
         v = self._check_candidate(state, v)
-        if self._sim.is_sparse:
-            cols, vals = self._sim.row(v)
-            state.best_sim[cols] = np.maximum(state.best_sim[cols], vals)
-        else:
-            np.maximum(state.best_sim, self._sim.dense_row(v), out=state.best_sim)
+        cols, vals = self._sim.row(v)
+        state.best_sim[cols] = np.maximum(state.best_sim[cols], vals)
         state._mark(v)
 
 
@@ -257,7 +252,9 @@ class FunctionObjective(SubmodularObjective):
 
     def __init__(self, f: Callable[[tuple[int, ...]], float], n_examples: int):
         self._f = f
-        self.n_examples = int(n_examples)
+        self.n_examples = _integer("n_examples", n_examples)
+        if self.n_examples < 0:
+            raise InputError(f"n_examples must be at least 0, got {n_examples}")
 
     def new_state(self) -> ObjectiveState:
         return ObjectiveState()

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from .exceptions import InputError
+from .exceptions import InputError, _integer
 from .objectives import ObjectiveState, SubmodularObjective
 
 __all__ = [
@@ -75,13 +74,6 @@ class ProgressRecord(NamedTuple):
     objective: float
     evaluations: int
     seconds: float = 0.0
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int, or InputError naming ``name``; numpy integers count, ``bool`` does not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_budget(k, naive_rounds) -> tuple[int, int]:

@@ -113,3 +113,32 @@ def test_traced_cli_feature_run_satisfies_the_trace_checks(tmp_path, capsys):
     evaluations = int(last.split("evaluations=")[1].split()[0])
     assert spans.trace_problem(tracer, wall, evaluations) == ""
     assert (tmp_path / "out.csv").read_text().count("\n") == 6
+
+
+def test_traced_cli_triples_run_satisfies_the_trace_checks(tmp_path, capsys):
+    # The CLI builds a sparse matrix through its module-level name
+    # ``cli.sparse_from_triples``, which the tracer wraps as matrices.build.
+    from subsel.cli import main
+
+    spans = _load_spans()
+    rng = np.random.default_rng(23)
+    n = 20
+    entries = [f"{i},{j},{rng.uniform():.6f}" for i in range(n) for j in range(n) if (i + j) % 3 == 0]
+    path = tmp_path / "in.txt"
+    path.write_text("\n".join([f"n={n}", *entries]) + "\n")
+    tracer = spans.Tracer("contract-cli-triples")
+    with spans.instrument(tracer):
+        t0 = time.perf_counter()
+        with tracer.span("workload"):
+            code = main(["--function", "facility-location", "--similarity", "precomputed",
+                         "--format", "triples", "--k", "5", "--input", str(path),
+                         "--output", str(tmp_path / "out.csv"), "--verbose"])
+        wall = time.perf_counter() - t0
+
+    assert code == 0
+    last = capsys.readouterr().err.splitlines()[-1]
+    evaluations = int(last.split("evaluations=")[1].split()[0])
+    assert spans.trace_problem(tracer, wall, evaluations) == ""
+    names = {s["name"] for s in tracer.spans}
+    assert {"cli.parse", "matrices.build", "selector.fit"} <= names
+    assert (tmp_path / "out.csv").read_text().count("\n") == 6

@@ -296,6 +296,20 @@ class TestInitialFile:
         assert lines[1].startswith("0,1,")
         assert lines[2].startswith("1,0,")
 
+    def test_comment_lines_are_skipped(self, tmp_path):
+        init = tmp_path / "init.txt"
+        init.write_text("# forced picks\n  # none yet\n\n1 # the second row\n")
+        in_path = tmp_path / "in.csv"
+        in_path.write_text(F2_CSV)
+        out_path = tmp_path / "out.csv"
+        code = main([
+            "--function", "feature-based", "--k", "1",
+            "--initial", str(init),
+            "--input", str(in_path), "--output", str(out_path),
+        ])
+        assert code == 0
+        assert out_path.read_text().splitlines()[1].startswith("0,1,")
+
     def test_bad_index_line(self, tmp_path, capsys):
         init = tmp_path / "init.txt"
         init.write_text("zero\n")
@@ -320,7 +334,9 @@ class TestInitialFile:
             "--input", str(in_path), "--output", str(tmp_path / "out.csv"),
         ])
         assert code == 1
-        assert "out of range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "out of range" in err
+        assert "init.txt: initial index 7 out of range" in err
 
 
 class TestOutputContract:

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsel import cli
+from subsel import (
+    ConstraintViolationError,
+    DegenerateInputError,
+    InputError,
+    TripleValidationError,
+    cli,
+)
 from subsel.cli import main
 from subsel.matrices import TRIPLE_DTYPE
 
@@ -147,6 +153,36 @@ class TestBoundaryDiagnostics:
         assert f"{where}:" in err and "non-finite" in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "args,text,name,where,field",
+        [
+            (FEATURES, '"1",2\n3,4\n', "in.csv", "in.csv:1", '\'"1"\''),
+            (FEATURES, "1,2\n , \n", "in.csv", "in.csv:2", "''"),
+            (FEATURES, "1,2\n,\n3,4\n", "in.csv", "in.csv:2", "''"),
+            (PRECOMPUTED, "1,0.5\n0.5,'1'\n", "in.csv", "in.csv:2", "\"'1'\""),
+            (TRIPLES, 'n=2\n0,0,1.0\n"1",1,1.0\n', "in.txt", "in.txt:3", "row,col,value"),
+        ],
+    )
+    def test_quotes_and_empty_fields_name_file_and_line(
+        self, tmp_path, capsys, args, text, name, where, field
+    ):
+        # Fields are split on commas and parsed as Python numbers: quotes are
+        # not stripped, and a line of empty fields is not blank.
+        assert run_main(tmp_path, args, text, name) == 1
+        err = capsys.readouterr().err
+        assert f"{where}: cannot parse " in err and field in err
+        assert "Traceback" not in err
+        # The loader and the per-line reader behind it name the same line.
+        path = str(tmp_path / name)
+        if name == "in.txt":
+            loaders = [cli.load_triples, cli._triples_by_line]
+        else:
+            loaders = [lambda p: cli.load_csv_matrix(p, False), lambda p: cli._csv_by_line(p, False)]
+        for load in loaders:
+            with pytest.raises(cli.CliError) as exc:
+                load(path)
+            assert str(exc.value).startswith(f"{tmp_path / where}: cannot parse ")
+
     def test_fractional_index_is_rejected(self, tmp_path, capsys):
         assert run_main(tmp_path, TRIPLES, "n=2\n0,0,1.0\n1.5,1,1.0\n", "in.txt") == 1
         err = capsys.readouterr().err
@@ -166,3 +202,20 @@ class TestBoundaryDiagnostics:
                      "--output", str(tmp_path / "out.csv")])
         assert code == 1
         assert "cannot read input" in capsys.readouterr().err
+
+
+class TestErrorRows:
+    """The CLI maps one attribute, ``InputError.row``, to a line of the input."""
+
+    def test_every_error_type_sets_row(self):
+        assert ConstraintViolationError("m", position=(3, 1)).row == 3
+        assert TripleValidationError("m", 5, (5, 0, -1.0)).row == 5
+        assert DegenerateInputError("m", row=2).row == 2
+        assert InputError("m").row is None
+        assert ConstraintViolationError("m").row is None
+        assert str(TripleValidationError("m", 5, (5, 0, -1.0))) == "m"
+
+    def test_error_without_a_row_prints_the_message_alone(self, tmp_path, capsys):
+        assert run_main(tmp_path, PRECOMPUTED, "1,0.5,0.2\n0.5,1,0.3\n", "in.csv") == 1
+        err = capsys.readouterr().err
+        assert err == "subsel: error: similarity matrix must be square, got shape (2, 3)\n"

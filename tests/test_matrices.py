@@ -100,7 +100,14 @@ class TestDenseSimilarity:
     def test_dense_is_read_only(self):
         S = SimilarityMatrix.from_dense([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            S.dense_row(0)[0] = 2.0
+            S.row(0)[1][0] = 2.0
+
+    def test_row_reads_every_column(self):
+        S = SimilarityMatrix.from_dense([[1.0, 0.5], [0.25, 1.0]])
+        cols, vals = S.row(1)
+        assert cols == slice(None)
+        assert vals.tolist() == [0.25, 1.0]
+        assert np.arange(2.0)[cols].tolist() == [0.0, 1.0]
 
     def test_to_dense_returns_copy(self):
         S = SimilarityMatrix.from_dense([[1.0, 0.0], [0.0, 1.0]])
@@ -114,7 +121,7 @@ class TestDenseSimilarity:
         assert values.flags.writeable
         values[0, 1] = 9.0
         assert S.lookup(0, 1) == 0.5
-        assert not np.shares_memory(S.dense_row(0), values)
+        assert not np.shares_memory(S.row(0)[1], values)
 
 
 class TestSymmetrize:
@@ -190,6 +197,15 @@ class TestSparseSimilarity:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(DegenerateInputError):
             sparse_from_triples(0, [])
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(InputError, match="n must be an integer"):
+            sparse_from_triples(n, [(0, 0, 1.0)])
+
+    def test_numpy_integer_n(self):
+        S = sparse_from_triples(np.int64(3), [(0, 2, 0.5)])
+        assert S.n_examples == 3 and S.lookup(0, 2) == 0.5
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)

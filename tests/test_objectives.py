@@ -154,6 +154,42 @@ class TestFacilityLocationGain:
                 assert np.array_equal(state_d.best_sim, state_s.best_sim)
 
 
+class TestCandidateIndices:
+    """Every objective takes one kind of candidate index: an integer, numpy's included."""
+
+    OBJECTIVES = [
+        lambda: FacilityLocationObjective(S3),
+        lambda: FacilityLocationObjective(sparse_and_dense(np.random.default_rng(3), 3)[1]),
+        lambda: FeatureBasedObjective(F2),
+        lambda: FunctionObjective(lambda X: float(len(X)), 3),
+    ]
+
+    @pytest.mark.parametrize("make", OBJECTIVES)
+    @pytest.mark.parametrize("v", [1.7, 1.0, True, "1", None])
+    def test_non_integer_candidate_rejected(self, make, v):
+        obj = make()
+        state = obj.new_state()
+        with pytest.raises(InputError, match="candidate index must be an integer"):
+            obj.gain(state, v)
+        with pytest.raises(InputError, match="candidate index must be an integer"):
+            obj.update(state, v)
+        assert state.selected == []
+
+    @pytest.mark.parametrize("make", OBJECTIVES)
+    def test_numpy_integers_give_bit_identical_gains(self, make):
+        obj = make()
+        state_int, state_np = obj.new_state(), obj.new_state()
+        for chosen in (1, 0):
+            for v in range(obj.n_examples):
+                if not state_int.is_selected(v):
+                    a, b = obj.gain(state_int, v), obj.gain(state_np, np.int64(v))
+                    assert np.float64(a).tobytes() == np.float64(b).tobytes()
+            obj.update(state_int, chosen)
+            obj.update(state_np, np.intp(chosen))
+        assert state_np.selected == state_int.selected == [1, 0]
+        assert all(type(v) is int for v in state_np.selected)
+
+
 class TestFeatureBasedValue:
     def test_empty_set_is_zero(self):
         assert feature_based_eval(F2, None, "sqrt", []) == 0.0
@@ -258,6 +294,20 @@ class TestFunctionObjective:
         obj.update(state, 2)
         assert state.selected == [2]
         assert obj.gain(state, 0) == 1.0
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_non_integer_size_rejected(self, n):
+        with pytest.raises(InputError, match="n_examples must be an integer"):
+            FunctionObjective(lambda X: float(len(X)), n)
+
+    def test_negative_size_rejected_at_construction(self):
+        with pytest.raises(InputError, match="n_examples must be at least 0, got -1"):
+            FunctionObjective(lambda X: float(len(X)), -1)
+
+    def test_numpy_integer_size_and_empty_ground_set(self):
+        assert FunctionObjective(lambda X: 0.0, np.int64(4)).n_examples == 4
+        assert type(FunctionObjective(lambda X: 0.0, np.int64(4)).n_examples) is int
+        assert FunctionObjective(lambda X: 0.0, 0).n_examples == 0
 
     def test_matches_native_facility_location(self):
         obj_fn = FunctionObjective(lambda X: facility_location_eval(S3, X), 3)
