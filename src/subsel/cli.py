@@ -92,15 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip one header line at the top of a csv input",
     )
-    p.add_argument(
-        "--naive-rounds",
-        type=int,
-        default=0,
-        help="naive greedy rounds before switching to lazy greedy; the result is "
-        "identical for any value. Each naive round evaluates every remaining "
-        "candidate, so on typical data they cost more evaluations and time than "
-        "the lazy queue (default 0, pure lazy)",
-    )
     p.add_argument("--initial", help="file of indices to force into the selection, one per line")
     p.add_argument("--output", required=True, help="output csv path (rank,index,gain)")
     p.add_argument("--verbose", action="store_true", help="progress records on stderr")
@@ -124,8 +115,6 @@ def _validate_flags(args) -> None:
             raise CliError("--format triples requires --similarity precomputed")
     if args.format == "triples" and args.header:
         raise CliError("--header is only valid with --format csv")
-    if args.naive_rounds < 0:
-        raise CliError("--naive-rounds must be non-negative")
 
 
 @contextmanager
@@ -277,24 +266,28 @@ def _triples_by_line(path: str) -> tuple[int, list[tuple[int, int, float]], list
     return n, triples, lines
 
 
-def load_initial(path: str) -> list[int]:
-    """Indices of an ``--initial`` file, one per line; ``#`` starts a comment."""
-    return [
-        _parse(path, no, text, int, "an index")
-        for no, line in _records(path)
-        if (text := line.split("#", 1)[0].strip())
-    ]
+def load_initial(path: str) -> tuple[list[int], list[int]]:
+    """Parse an ``--initial`` file of indices, one per line; ``#`` starts a
+    comment. Returns (indices, line number of each index)."""
+    indices: list[int] = []
+    lines: list[int] = []
+    for no, line in _records(path):
+        if text := line.split("#", 1)[0].strip():
+            indices.append(_parse(path, no, text, int, "an index"))
+            lines.append(no)
+    return indices, lines
 
 
-def _build_selector(args):
-    common = dict(
-        naive_rounds=args.naive_rounds,
-        initial=load_initial(args.initial) if args.initial else None,
-        verbose=args.verbose,
-    )
+def _build_selector(args, initial: list[int] | None):
+    common = dict(initial=initial, verbose=args.verbose)
     if args.function == "feature-based":
         return FeatureBasedSelector(args.k, concave=args.concave or "sqrt", **common)
     return FacilityLocationSelector(args.k, similarity=args.similarity, **common)
+
+
+def _located(exc: InputError, path: str, lines: Sequence[int]) -> CliError:
+    """``exc`` as a CliError, prefixed with ``path:line`` when it names a row."""
+    return CliError(str(exc) if exc.row is None else f"{path}:{lines[exc.row]}: {exc}")
 
 
 def _write_output(path: str, result) -> None:
@@ -318,7 +311,11 @@ def _write_output(path: str, result) -> None:
 
 def run(args) -> int:
     _validate_flags(args)
-    selector = _build_selector(args)
+    initial, initial_lines = load_initial(args.initial) if args.initial else (None, [])
+    try:
+        selector = _build_selector(args, initial)
+    except InputError as exc:
+        raise _located(exc, args.initial, initial_lines) from None
     if args.format == "triples":
         n, triples, lines = load_triples(args.input)
     else:
@@ -336,7 +333,7 @@ def run(args) -> int:
             data = matrix
         selector.fit(data)
     except InputError as exc:
-        raise CliError(str(exc) if exc.row is None else f"{args.input}:{lines[exc.row]}: {exc}") from None
+        raise _located(exc, args.input, lines) from None
     except IndexError as exc:
         raise CliError(f"{args.initial}: {exc}" if args.initial else str(exc)) from None
     _write_output(args.output, selector.result_)

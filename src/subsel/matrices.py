@@ -71,21 +71,28 @@ def _as_2d_float(values, what: str) -> np.ndarray:
     return arr
 
 
-def _first_invalid(arr: np.ndarray) -> tuple[int, ...] | None:
-    """Position of the first entry (row-major) that is not finite and >= 0, or None.
+def _kind(value: float) -> str:
+    return "negative" if value < 0.0 else "non-finite"
+
+
+def _check_values(arr: np.ndarray, what: str) -> None:
+    """ConstraintViolationError at the first entry (row-major) of the 2-D
+    ``arr`` that is not finite and >= 0; its ``position`` is (row, column).
 
     ``min`` is NaN when any entry is, so ``min >= 0`` rules out NaN and
     negatives; +inf is then the only non-finite value left, which ``max``
     finds. Two reductions cost about what one ``(arr >= 0).all()`` did.
     """
     if arr.min() >= 0.0 and arr.max() < np.inf:
-        return None
+        return
     ok = (arr >= 0.0) & (arr < np.inf)
-    return tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), arr.shape))
-
-
-def _kind(value: float) -> str:
-    return "negative" if value < 0.0 else "non-finite"
+    r, c = (int(i) for i in np.unravel_index(int(np.argmin(ok)), arr.shape))
+    value = float(arr[r, c])
+    raise ConstraintViolationError(
+        f"{_kind(value)} {what} {value} at row {r}, column {c} "
+        f"(every {what} must be finite and non-negative)",
+        position=(r, c),
+    )
 
 
 class FeatureMatrix:
@@ -117,14 +124,7 @@ class FeatureMatrix:
         return matrix
 
     def _adopt(self, arr: np.ndarray) -> None:
-        """Check ``arr``, freeze it and make it the matrix's storage."""
-        pos = _first_invalid(arr)
-        if pos is not None:
-            raise ConstraintViolationError(
-                f"{_kind(arr[pos])} feature value {arr[pos]!r} at row {pos[0]}, column {pos[1]} "
-                "(features must be finite and non-negative)",
-                position=pos,
-            )
+        _check_values(arr, "feature value")
         with np.errstate(over="ignore"):
             if arr.sum(axis=0).max() == np.inf:
                 running = np.cumsum(arr, axis=0)
@@ -156,51 +156,46 @@ class FeatureMatrix:
 class SimilarityMatrix:
     """Square n x n table of non-negative similarities, dense or sparse.
 
-    Construct with :meth:`from_dense` or :func:`sparse_from_triples`. The
-    sparse form stores rows in CSR layout with columns sorted ascending;
-    entries not stored are zero.
+    ``SimilarityMatrix(values)``, also named :meth:`from_dense`, copies a
+    dense square array and checks that every entry is finite and >= 0, as
+    ``FeatureMatrix(values)`` does; asymmetry is allowed. The sparse form,
+    built by :func:`sparse_from_triples`, stores rows in CSR layout with
+    columns sorted ascending; entries not stored are zero.
     """
 
-    def __init__(self, *, dense=None, indptr=None, cols=None, vals=None, n=None):
-        if dense is not None:
-            self._dense = dense
-            self._indptr = self._cols = self._vals = None
-            self._n = dense.shape[0]
-        else:
-            self._dense = None
-            self._indptr = indptr
-            self._cols = cols
-            self._vals = vals
-            self._n = int(n)
-
-    @classmethod
-    def from_dense(cls, values) -> "SimilarityMatrix":
-        """Wrap a copy of a dense square array. Entries must be finite and >= 0;
-        asymmetry is allowed.
-
-        ``values`` is always copied, so the caller's array is never frozen or
-        aliased; the matrix holds that one copy.
-        """
-        return cls._from_owned(_as_2d_float(values, "similarity matrix"))
+    def __init__(self, values):
+        self._adopt(_as_2d_float(values, "similarity matrix"))
 
     @classmethod
     def _from_owned(cls, arr: np.ndarray) -> "SimilarityMatrix":
-        """Check a 2-D float64 array and wrap it without copying.
+        """Check a square 2-D float64 array and wrap it without copying, as
+        FeatureMatrix._from_owned does."""
+        matrix = cls.__new__(cls)
+        matrix._adopt(arr)
+        return matrix
 
-        For arrays the library made and nobody else holds: ``arr`` is made
-        read-only in place and becomes the matrix's storage.
-        """
+    @classmethod
+    def from_dense(cls, values) -> "SimilarityMatrix":
+        """``SimilarityMatrix(values)``: a checked copy of a dense square array."""
+        return cls(values)
+
+    @classmethod
+    def _from_csr(cls, indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "SimilarityMatrix":
+        """Wrap read-only CSR arrays that sparse_from_triples built and checked."""
+        matrix = cls.__new__(cls)
+        matrix._dense = None
+        matrix._indptr, matrix._cols, matrix._vals = indptr, cols, vals
+        matrix._n = len(indptr) - 1
+        return matrix
+
+    def _adopt(self, arr: np.ndarray) -> None:
         if arr.shape[0] != arr.shape[1]:
             raise InputError(f"similarity matrix must be square, got shape {arr.shape}")
-        pos = _first_invalid(arr)
-        if pos is not None:
-            raise ConstraintViolationError(
-                f"{_kind(arr[pos])} similarity {arr[pos]!r} at row {pos[0]}, column {pos[1]} "
-                "(similarities must be finite and non-negative)",
-                position=pos,
-            )
+        _check_values(arr, "similarity")
         arr.setflags(write=False)
-        return cls(dense=arr)
+        self._dense = arr
+        self._indptr = self._cols = self._vals = None
+        self._n = arr.shape[0]
 
     @property
     def n_examples(self) -> int:
@@ -267,7 +262,7 @@ def _feature_values(data, what: str) -> np.ndarray:
     if bad.size:
         r, c = (int(i) for i in bad[0])
         raise ConstraintViolationError(
-            f"non-finite value {arr[r, c]!r} in {what} at row {r}, column {c}", position=(r, c)
+            f"non-finite value {float(arr[r, c])} in {what} at row {r}, column {c}", position=(r, c)
         )
     return arr
 
@@ -292,28 +287,19 @@ def _symmetrize(a: np.ndarray) -> None:
             lower[...] = mean.T
 
 
-def _unit_rows(arr: np.ndarray) -> np.ndarray:
-    """Rows of ``arr`` divided by their Euclidean norms.
+def _scaled_rows(arr: np.ndarray) -> np.ndarray:
+    """Each row of ``arr`` times the power of two that brings its largest
+    magnitude into [0.5, 1); an all-zero row stays zero.
 
-    A row whose sum of squares overflows to inf or is subnormal (norm below
-    ``sqrt(tiny)``, where it has lost precision) is first divided by its
-    largest magnitude; every other row is divided by its norm directly. An
-    all-zero row is an error.
+    Both similarity builders scale every row this way first. The scaling is
+    exact and commutes with every correctly rounded operation they apply
+    (sums, products, ``sqrt``, division, and BLAS dot products, whose order
+    does not depend on the values) unless an entry becomes subnormal. So a
+    row times any power of two has the same similarities, bit for bit, and
+    no sum of squares can overflow or underflow.
     """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(arr, axis=1)
-    extreme = np.flatnonzero((norms < np.sqrt(np.finfo(float).tiny)) | (norms == np.inf))
-    peak = np.abs(arr[extreme]).max(axis=1)
-    if not peak.all():
-        row = int(extreme[np.argmin(peak)])
-        raise DegenerateInputError(
-            f"row {row} is all-zero; cosine similarity is undefined", row=row
-        )
-    scaled = arr[extreme] / peak[:, None]
-    norms[extreme] = 1.0  # placeholder: these rows are replaced below
-    unit = arr / norms[:, None]
-    unit[extreme] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
-    return unit
+    _, exponent = np.frexp(np.abs(arr).max(axis=1))
+    return np.ldexp(arr, -exponent[:, None])
 
 
 def squared_correlation_similarity(data) -> SimilarityMatrix:
@@ -321,7 +307,9 @@ def squared_correlation_similarity(data) -> SimilarityMatrix:
 
     Output is symmetric with entries in [0, 1] and unit diagonal. Rows need
     at least two coordinates and must not be constant (a zero-variance row
-    makes the correlation undefined). A single row gives ``[[1.0]]``.
+    makes the correlation undefined). A single row gives ``[[1.0]]``. Rows
+    are first scaled by powers of two (see :func:`_scaled_rows`), which
+    changes no bit of the result, so rows of any finite magnitude work.
 
     The n x n result is computed in place in the one array ``np.corrcoef``
     returns, and the SimilarityMatrix adopts that array without a copy, so
@@ -341,17 +329,7 @@ def squared_correlation_similarity(data) -> SimilarityMatrix:
             f"row {flat[0]} has zero variance across its features; correlation is undefined",
             row=int(flat[0]),
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        variances = arr.var(axis=1)
-    # A variance that overflows (inf, or NaN from an overflowing mean) or is
-    # subnormal would ruin the row's correlations. Such a row is scaled by
-    # the power of two that brings its largest magnitude into [0.5, 1): the
-    # scaling is exact and correlation ignores scale.
-    extreme = np.flatnonzero(~np.isfinite(variances) | (variances < np.finfo(float).tiny))
-    if extreme.size:
-        arr = arr.copy()
-        _, exponent = np.frexp(np.abs(arr[extreme]).max(axis=1))
-        arr[extreme] = np.ldexp(arr[extreme], -exponent[:, None])
+    arr = _scaled_rows(arr)
     # corrcoef returns a 0-d value for a single row.
     sim = np.atleast_2d(np.corrcoef(arr))
     np.square(sim, out=sim)
@@ -369,13 +347,20 @@ def cosine_similarity(data, clamp_negative: bool = False) -> SimilarityMatrix:
     Rows must not be all-zero. Negative cosines (possible when the input has
     negative entries) violate the non-negativity invariant: by default they
     raise, because silently clamping changes the objective; pass
-    ``clamp_negative=True`` to replace them with 0 instead.
+    ``clamp_negative=True`` to replace them with 0 instead. Rows are first
+    scaled by powers of two (see :func:`_scaled_rows`), which changes no bit
+    of the result, so rows of any finite magnitude work.
 
     As for :func:`squared_correlation_similarity`, the n x n result is
     computed in place in one array that the SimilarityMatrix adopts without
     a copy.
     """
-    unit = _unit_rows(_feature_values(data, "input matrix"))
+    unit = _scaled_rows(_feature_values(data, "input matrix"))
+    norms = np.linalg.norm(unit, axis=1)  # at least 0.5, or 0 for an all-zero row
+    if not norms.all():
+        row = int(np.argmin(norms))
+        raise DegenerateInputError(f"row {row} is all-zero; cosine similarity is undefined", row=row)
+    unit /= norms[:, None]
     sim = unit @ unit.T
     np.clip(sim, -1.0, 1.0, out=sim)
     # The BLAS product is not bitwise symmetric; cosine similarity is.
@@ -383,14 +368,13 @@ def cosine_similarity(data, clamp_negative: bool = False) -> SimilarityMatrix:
     np.fill_diagonal(sim, 1.0)
     if clamp_negative:
         np.maximum(sim, 0.0, out=sim)
-    else:
-        pos = _first_invalid(sim)
-        if pos is not None:
-            raise ConstraintViolationError(
-                f"cosine similarity is negative ({sim[pos]!r}) for rows {pos[0]} and {pos[1]}; "
-                "pass clamp_negative=True to zero negatives",
-                position=pos,
-            )
+    elif sim.min() < 0.0:
+        r, c = (int(i) for i in np.unravel_index(int(np.argmax(sim < 0.0)), sim.shape))
+        raise ConstraintViolationError(
+            f"cosine similarity is negative ({float(sim[r, c])}) for rows {r} and {c}; "
+            "pass clamp_negative=True to zero negatives",
+            position=(r, c),
+        )
     return SimilarityMatrix._from_owned(sim)
 
 
@@ -450,7 +434,7 @@ def sparse_from_triples(n: int, triples: Iterable[Sequence] | np.ndarray) -> Sim
     vals_s = vals[order]
     for a in (indptr, cols_s, vals_s):
         a.setflags(write=False)
-    return SimilarityMatrix(indptr=indptr, cols=cols_s, vals=vals_s, n=n)
+    return SimilarityMatrix._from_csr(indptr, cols_s, vals_s)
 
 
 def as_similarity(data) -> SimilarityMatrix:
@@ -465,7 +449,7 @@ def as_similarity(data) -> SimilarityMatrix:
     if isinstance(data, SimilarityMatrix):
         return data
     if not _is_csr(data):
-        return SimilarityMatrix.from_dense(data)
+        return SimilarityMatrix(data)
     if getattr(data, "format", "csr") != "csr":
         raise InputError(f"sparse similarity matrix must be CSR, got format {data.format!r}; "
                          "convert it with .tocsr()")

@@ -32,8 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import AlreadySelectedError, ConstraintViolationError, InputError, _integer
-from .matrices import FeatureMatrix, SimilarityMatrix, _first_invalid, as_similarity
+from .exceptions import AlreadySelectedError, InputError, _integer
+from .matrices import FeatureMatrix, SimilarityMatrix, _check_values, as_similarity
 
 __all__ = [
     "Saturator",
@@ -275,12 +275,6 @@ def _feature_weights(weights, n_features: int) -> np.ndarray:
     w = np.array(weights, dtype=np.float64, copy=True).ravel()
     if w.shape[0] != n_features:
         raise InputError(f"expected {n_features} feature weights, got {w.shape[0]}")
-    pos = _first_invalid(w)
-    if pos is not None:
-        (bad,) = pos
-        raise ConstraintViolationError(
-            f"feature weights must be finite and non-negative: weight {w[bad]!r} at position {bad}",
-            position=(0, bad),
-        )
+    _check_values(w[None, :], "feature weight")  # a 1 x D view: positions are (0, i)
     w.setflags(write=False)
     return w

@@ -88,11 +88,31 @@ def _check_budget(k, naive_rounds) -> tuple[int, int]:
     return int(k), int(naive_rounds)
 
 
-def _check_initial(initial: Iterable[int] | None) -> list[int] | None:
-    """``initial`` as a list of ints, or InputError for an index that is not an integer."""
+def _check_initial(initial: Iterable[int] | None, k: int) -> list[int] | None:
+    """``initial`` as a list of distinct ints, at most ``k`` of them.
+
+    Otherwise InputError for the first index, in the caller's order, that is
+    not an integer (see :func:`_integer`), repeats an earlier one or is past
+    the ``k``-th; its ``row`` is that index's position in ``initial``.
+    """
     if initial is None:
         return None
-    return [_integer("initial index", i) for i in initial]
+    initial = list(initial)
+    checked: dict[int, None] = {}  # ordered, with O(1) lookups
+    for row, value in enumerate(initial):
+        try:
+            value = _integer("initial index", value)
+        except InputError as exc:
+            exc.row = row
+            raise
+        if value in checked:
+            raise InputError("initial indices must be distinct", row=row)
+        if row == k:
+            raise InputError(
+                f"{len(initial)} initial indices exceed the selection size k = {k}", row=row
+            )
+        checked[value] = None
+    return list(checked)
 
 
 def _gain(objective: SubmodularObjective, state: ObjectiveState, v) -> float:
@@ -141,16 +161,11 @@ def hybrid_maximize(
     n = objective.n_examples
     target = min(k, n)
 
-    initial = _check_initial(initial) or []
-    if len(set(initial)) != len(initial):
-        raise InputError("initial indices must be distinct")
+    # Distinct, in range and at most k, so at most min(k, n) of them.
+    initial = _check_initial(initial, k) or []
     for i in initial:
         if not 0 <= i < n:
             raise IndexError(f"initial index {i} out of range for {n} examples")
-    if len(initial) > target:
-        raise InputError(
-            f"{len(initial)} initial indices exceed the selection size min(k, n) = {target}"
-        )
 
     state = objective.new_state()
     ranking: list[int] = []

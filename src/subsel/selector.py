@@ -51,8 +51,8 @@ class BaseSelector:
         algorithm. The selection is identical for every value; the default
         (0, pure lazy) is usually fastest.
     initial : sequence of int, optional
-        Indices forced into the selection first, in the given order. Each
-        must be an integer (numpy integers count, ``bool`` does not).
+        Indices forced into the selection first, in the given order: at most
+        ``k`` distinct integers (numpy integers count, ``bool`` does not).
     verbose : bool
         Emit one progress record per selected example to ``progress`` (or to
         stderr when no sink is given).
@@ -70,7 +70,7 @@ class BaseSelector:
         progress=None,
     ):
         self.k, self.naive_rounds = _check_budget(k, naive_rounds)
-        self.initial = _check_initial(initial)
+        self.initial = _check_initial(initial, self.k)
         self.verbose = bool(verbose)
         self.progress = progress
         self.result_: SelectionResult | None = None

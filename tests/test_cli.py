@@ -130,6 +130,17 @@ class TestFacilityLocation:
         err = capsys.readouterr().err
         assert "in.csv:2" in err and "negative similarity" in err
 
+    @pytest.mark.parametrize("args, what", [
+        (["--function", "feature-based"], "feature value"),
+        (["--function", "facility-location", "--similarity", "precomputed"], "similarity"),
+    ])
+    def test_value_errors_print_plain_floats(self, tmp_path, capsys, args, what):
+        code, _ = run_cli(tmp_path, *args, "--k", "1", input_text="1,2\n-1,1\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"in.csv:2: negative {what} -1.0 at row 1, column 0" in err
+        assert "np.float64" not in err
+
     def test_squared_correlation_zero_variance_row(self, tmp_path, capsys):
         code, _ = run_cli(
             tmp_path,
@@ -244,7 +255,6 @@ class TestFlagValidation:
         (["--function", "facility-location", "--k", "1", "--similarity", "cosine",
           "--format", "triples"], "precomputed"),
         (["--function", "feature-based", "--k", "0"], "--k"),
-        (["--function", "feature-based", "--k", "1", "--naive-rounds", "-1"], "--naive-rounds"),
     ]
 
     @pytest.mark.parametrize("args,needle", CASES)
@@ -338,6 +348,22 @@ class TestInitialFile:
         assert "out of range" in err
         assert "init.txt: initial index 7 out of range" in err
 
+    @pytest.mark.parametrize("text, needle", [
+        ("1\n\n1  # again\n", "init.txt:3: initial indices must be distinct"),
+        ("0\n# two picks\n1\n0\n", "init.txt:4: initial indices must be distinct"),
+        ("0\n1\n\n5\n", "init.txt:4: 3 initial indices exceed the selection size k = 2"),
+    ], ids=["repeat", "repeat-after-a-comment", "more-than-k"])
+    def test_rejected_indices_name_file_and_line(self, tmp_path, capsys, text, needle):
+        init = tmp_path / "init.txt"
+        init.write_text(text)
+        code, out = run_cli(
+            tmp_path, "--function", "feature-based", "--k", "2", "--initial", str(init),
+            input_text=F2_CSV,
+        )
+        assert code == 1
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOutputContract:
     def test_failure_leaves_existing_output_untouched(self, tmp_path, capsys):
@@ -365,10 +391,9 @@ class TestOutputContract:
         rng = np.random.default_rng(127)
         text = "\n".join(",".join(f"{v:.12f}" for v in row) for row in rng.uniform(size=(40, 6)))
         outputs = set()
-        for extra in ([], ["--naive-rounds", "3"], ["--naive-rounds", "10"]):
+        for _ in range(3):
             code, out = run_cli(
-                tmp_path, "--function", "feature-based", "--k", "10", *extra,
-                input_text=text,
+                tmp_path, "--function", "feature-based", "--k", "10", input_text=text,
             )
             assert code == 0
             outputs.add(out.read_bytes())

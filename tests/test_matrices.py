@@ -90,6 +90,25 @@ class TestDenseSimilarity:
             SimilarityMatrix.from_dense([[1.0, -0.1], [0.5, 1.0]])
         assert exc.value.position == (0, 1)
 
+    @pytest.mark.parametrize("values, position", [
+        ([[-1.0, 0.0], [0.0, 1.0]], (0, 0)),
+        ([[1.0, 0.0], [np.nan, 1.0]], (1, 0)),
+    ])
+    def test_constructor_checks_values(self, values, position):
+        with pytest.raises(ConstraintViolationError) as exc:
+            SimilarityMatrix(values)
+        assert exc.value.position == position
+
+    def test_constructor_is_from_dense(self):
+        values = np.array([[1.0, 0.5], [0.3, 1.0]])
+        S = SimilarityMatrix(values)
+        values[0, 1] = 9.0
+        assert S.lookup(0, 1) == 0.5
+        expected = SimilarityMatrix.from_dense([[1.0, 0.5], [0.3, 1.0]])
+        assert S.to_dense().tobytes() == expected.to_dense().tobytes()
+        with pytest.raises(TypeError):
+            SimilarityMatrix(dense=values)
+
     def test_lookup_out_of_range(self):
         S = SimilarityMatrix.from_dense([[1.0]])
         with pytest.raises(IndexError):
@@ -484,6 +503,27 @@ class TestCosine:
         with pytest.raises(DegenerateInputError, match="row 2 is all-zero") as exc:
             cosine_similarity([[1.0, 2.0], [1e-200, 0.0], [0.0, 0.0]])
         assert exc.value.row == 2
+
+
+class TestRowScaling:
+    """A row scaled by a power of two has the same similarities, bit for bit."""
+
+    @pytest.mark.parametrize("build", [
+        squared_correlation_similarity,
+        lambda X: cosine_similarity(X, clamp_negative=True),
+    ], ids=["squared-correlation", "cosine"])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_two_row_scaling_keeps_the_bits(self, build, seed):
+        rng = np.random.default_rng(seed)
+        n, d = (int(v) for v in rng.integers(2, 7, size=2))
+        # Magnitudes in [0.5, 4) times 2**e with |e| <= 1000 stay normal floats.
+        X = rng.uniform(0.5, 4.0, size=(n, d)) * rng.choice([-1.0, 1.0], size=(n, d))
+        exponents = rng.integers(-1000, 1001, size=(n, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = build(np.ldexp(X, exponents)).to_dense()
+        assert scaled.tobytes() == build(X).to_dense().tobytes()
 
 
 class TestFiniteBoundary:
