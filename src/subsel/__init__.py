@@ -19,6 +19,7 @@ from .exceptions import (
     DegenerateInputError,
     EnumerationBoundError,
     InputError,
+    NegativeCosineError,
     TripleValidationError,
 )
 from .matrices import (
@@ -63,6 +64,7 @@ __all__ = [
     "InputError",
     "DegenerateInputError",
     "ConstraintViolationError",
+    "NegativeCosineError",
     "TripleValidationError",
     "AlreadySelectedError",
     "EnumerationBoundError",

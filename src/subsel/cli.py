@@ -46,7 +46,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .exceptions import InputError
+from .exceptions import InputError, NegativeCosineError
 from . import objectives
 from .matrices import TRIPLE_DTYPE, SimilarityMatrix, _check_sparse_size, sparse_from_triples
 from .selector import FacilityLocationSelector, FeatureBasedSelector
@@ -285,9 +285,10 @@ def _build_selector(args, initial: list[int] | None):
     return FacilityLocationSelector(args.k, similarity=args.similarity, **common)
 
 
-def _located(exc: InputError, path: str, lines: Sequence[int]) -> CliError:
+def _located(exc: Exception, path: str, lines: Sequence[int]) -> CliError:
     """``exc`` as a CliError, prefixed with ``path:line`` when it names a row."""
-    return CliError(str(exc) if exc.row is None else f"{path}:{lines[exc.row]}: {exc}")
+    row = getattr(exc, "row", None)
+    return CliError(str(exc) if row is None else f"{path}:{lines[row]}: {exc}")
 
 
 def _write_output(path: str, result) -> None:
@@ -332,10 +333,16 @@ def run(args) -> int:
         else:
             data = matrix
         selector.fit(data)
+    except NegativeCosineError as exc:
+        first, second = (lines[row] for row in exc.position)
+        raise CliError(
+            f"{args.input}:{first}: cosine similarity is negative ({exc.value}) for the rows "
+            f"on lines {first} and {second}; --similarity squared-correlation is never negative"
+        ) from None
     except InputError as exc:
         raise _located(exc, args.input, lines) from None
-    except IndexError as exc:
-        raise CliError(f"{args.initial}: {exc}" if args.initial else str(exc)) from None
+    except IndexError as exc:  # an --initial index that is not an example
+        raise _located(exc, args.initial, initial_lines) from None
     _write_output(args.output, selector.result_)
     return 0
 

@@ -45,6 +45,18 @@ class ConstraintViolationError(InputError):
         self.position = position
 
 
+class NegativeCosineError(ConstraintViolationError):
+    """A cosine similarity of two input rows is negative.
+
+    ``position`` holds the two rows and ``value`` the cosine, so a caller
+    that read the rows from a file can name both lines.
+    """
+
+    def __init__(self, message: str, position: tuple[int, int], value: float):
+        super().__init__(message, position)
+        self.value = value
+
+
 class TripleValidationError(InputError):
     """A sparse (row, col, value) triple failed validation.
 

@@ -24,6 +24,7 @@ from .exceptions import (
     ConstraintViolationError,
     DegenerateInputError,
     InputError,
+    NegativeCosineError,
     TripleValidationError,
     _integer,
 )
@@ -370,10 +371,10 @@ def cosine_similarity(data, clamp_negative: bool = False) -> SimilarityMatrix:
         np.maximum(sim, 0.0, out=sim)
     elif sim.min() < 0.0:
         r, c = (int(i) for i in np.unravel_index(int(np.argmax(sim < 0.0)), sim.shape))
-        raise ConstraintViolationError(
+        raise NegativeCosineError(
             f"cosine similarity is negative ({float(sim[r, c])}) for rows {r} and {c}; "
             "pass clamp_negative=True to zero negatives",
-            position=(r, c),
+            (r, c), float(sim[r, c]),
         )
     return SimilarityMatrix._from_owned(sim)
 

@@ -1,39 +1,40 @@
 """Greedy maximization of a submodular objective under a cardinality budget.
 
 One loop serves naive, lazy and hybrid greedy, and all three select the
-same indices with bit-identical gains. Candidates live in a heap of
-``(-bound, index, stamp)`` entries, ordered by bound descending and then
-index ascending, where ``stamp`` is the step at which the bound was
-computed. Every step re-scores a stale top in place (``heapreplace``) until
-the top is fresh, then pops it. Bounds from earlier steps stay valid upper
-bounds because marginal gains only shrink as the selection grows, so a
-fresh top is exactly the candidate naive greedy would take.
+same indices with bit-identical gains. The queue is one array: ``bound[v]``
+is an upper bound on candidate v's gain, or -inf once v is selected. Bounds
+from earlier steps stay valid because marginal gains only shrink as the
+selection grows.
 
-A sweep step re-scores every remaining candidate, builds the heap anew from
-those gains with one ``heapify`` and pops its top: with every entry fresh,
-that is naive greedy's argmax (largest gain, then smallest index). The
-first step is always a sweep, since with no bounds yet it has to evaluate
-every candidate anyway; ``naive_rounds`` asks for more sweep steps. So 0
-and 1 naive rounds are the same run.
+A sweep step evaluates every remaining candidate in ascending index order
+into ``bound`` and takes its argmax, whose first maximum is the smallest
+index: naive greedy's choice. The first step is always a sweep, since with
+no bounds yet it has to evaluate every candidate anyway; ``naive_rounds``
+asks for more sweep steps. So 0 and 1 naive rounds are the same run.
 
-A top is accepted only when its bound was recomputed in the current step.
-That is stricter than the usual "recomputed gain beats the next bound"
-shortcut, which can diverge from naive greedy under ties; freshness costs
-an occasional extra re-score and keeps the selections identical.
+A lazy step first caps the stale bounds with the objective's own
+``upper_bounds(state)``, when it has them. It then visits candidates in
+order of their bounds at the start of the step (largest first, ties by
+smallest index) and evaluates each, until the next bound is below the best
+fresh gain, or equal to it with a larger index. No candidate left can then
+beat that gain, so it is the candidate naive greedy would take. Without
+``upper_bounds`` this evaluates exactly the candidates a heap of stale
+bounds re-scores; with them, never more.
 
 Every gain the optimizer uses comes from one ``objective.gain`` call made
 through :func:`_gain`, which refuses a NaN or infinite value: a non-finite
-gain would otherwise be ranked silently by the heap.
+gain would otherwise be ranked silently by the queue.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
+
+import numpy as np
 
 from .exceptions import InputError, _integer
 from .objectives import ObjectiveState, SubmodularObjective
@@ -126,6 +127,44 @@ def _gain(objective: SubmodularObjective, state: ObjectiveState, v) -> float:
     return g
 
 
+def _lazy_pick(objective, state, bound, size, seen, fresh):
+    """One lazy step: ``(index, gain, count)``.
+
+    Candidates are visited in (-bound, index) order of ``bound``, which this
+    leaves unchanged, until the next bound is below the best fresh gain, or
+    equal to it with a larger index: then no unvisited candidate can beat
+    it. The first ``count`` entries of ``seen`` and ``fresh`` receive the
+    visited candidates and their gains. The order is built chunk by chunk:
+    a chunk is every candidate whose bound is at least the ``size``-th
+    largest and below the previous chunk's, and ``size`` doubles each time.
+    """
+    best, best_gain, count = -1, -math.inf, 0
+    n = bound.size
+    above = math.inf  # every bound of the previous chunks is at least this
+    while above > -math.inf:
+        threshold = np.partition(bound, n - size)[n - size] if size < n else -math.inf
+        # Selected candidates hold -inf: a threshold of -inf takes the rest.
+        chunk = bound >= threshold if threshold > -math.inf else bound > threshold
+        if above < math.inf:
+            chunk &= bound < above
+        pool = np.flatnonzero(chunk)
+        vals = bound[pool]
+        order = np.lexsort((pool, -vals))
+        pool, vals = pool[order], vals[order]
+        for j in range(pool.size):
+            v, b = int(pool[j]), vals[j]
+            if b < best_gain or (b == best_gain and v > best):
+                return best, best_gain, count
+            g = _gain(objective, state, v)
+            seen[count], fresh[count] = v, g
+            count += 1
+            if g > best_gain or (g == best_gain and v < best):
+                best, best_gain = v, g
+        above = threshold
+        size *= 2
+    return best, best_gain, count
+
+
 def _print_progress(record: ProgressRecord) -> None:
     print(
         f"step={record.step} index={record.index} gain={record.gain:.17g} "
@@ -152,7 +191,9 @@ def hybrid_maximize(
     lazy, ``naive_rounds >= k`` pure naive.
 
     Raises InputError for a ``k``, ``naive_rounds`` or ``initial`` index
-    that is not an integer in range, and for a gain that is NaN or infinite.
+    that is not an integer in range, and for a gain that is NaN or infinite;
+    IndexError for an ``initial`` index that is not an example. Either
+    error about an ``initial`` index has its position there as ``row``.
 
     When ``progress`` is given it receives one ProgressRecord per selection.
     """
@@ -163,9 +204,11 @@ def hybrid_maximize(
 
     # Distinct, in range and at most k, so at most min(k, n) of them.
     initial = _check_initial(initial, k) or []
-    for i in initial:
+    for row, i in enumerate(initial):
         if not 0 <= i < n:
-            raise IndexError(f"initial index {i} out of range for {n} examples")
+            exc = IndexError(f"initial index {i} out of range for {n} examples")
+            exc.row = row
+            raise exc
 
     state = objective.new_state()
     ranking: list[int] = []
@@ -182,32 +225,37 @@ def hybrid_maximize(
             progress(ProgressRecord(len(ranking) - 1, index, gain, cumulative, evaluations,
                                     time.perf_counter() - start))
 
+    # bound[v]: an upper bound on v's gain, or -inf once v is selected.
+    bound = np.full(n, -np.inf)
+    seen, fresh = np.empty(n, dtype=np.intp), np.empty(n)  # a lazy step's visits
     for v in initial:
         g = _gain(objective, state, v)
         evaluations += 1
         objective.update(state, v)
         record(v, g)
 
+    taken = set(ranking)
     sweep_end = len(ranking) + max(naive_rounds, 1)
-    heap: list[tuple[float, int, int]] = []
     while len(ranking) < target:
-        step = len(ranking)
-        spent = 0
-        if step < sweep_end:
-            # Sweep step: every remaining candidate gets a fresh bound.
-            taken = set(ranking)
-            heap = [(-_gain(objective, state, v), v, step) for v in range(n) if v not in taken]
-            heapq.heapify(heap)
-            spent = len(heap)
-        # Re-score stale tops in place; the first fresh top is the argmax.
-        neg, index, stamp = heap[0]
-        while stamp != step:
-            spent += 1
-            heapq.heapreplace(heap, (-_gain(objective, state, index), index, step))
-            neg, index, stamp = heap[0]
-        heapq.heappop(heap)
+        if len(ranking) < sweep_end:
+            # Sweep step: every remaining candidate gets a fresh bound, and
+            # argmax takes the largest gain, then the smallest index.
+            for v in range(n):
+                if v not in taken:
+                    bound[v] = _gain(objective, state, v)
+            spent = n - len(ranking)
+            index = int(np.argmax(bound))
+            gain = float(bound[index])
+        else:
+            caps = objective.upper_bounds(state)
+            if caps is not None:
+                np.fmin(bound, caps, out=bound)  # a NaN cap keeps the stale bound
+            index, gain, spent = _lazy_pick(objective, state, bound, 2 * spent + 2, seen, fresh)
+            bound[seen[:spent]] = fresh[:spent]
+        bound[index] = -np.inf
+        taken.add(index)
         objective.update(state, index)
         evaluations += spent
-        record(index, -neg)
+        record(index, gain)
 
     return SelectionResult(tuple(ranking), tuple(gains), evaluations)

@@ -6,7 +6,7 @@ code with the incremental gain/update machinery in :mod:`subsel.objectives`;
 that independence is the point, since they are the yardstick the fast paths
 are measured against (brute force, telescoping checks, the benchmark's
 prefix gate). Likewise :func:`naive_greedy` shares no code with the
-optimizer's heap loop, which it checks.
+optimizer's lazy queue, which it checks.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def feature_based_eval(F: FeatureMatrix, weights, concave, X: Iterable[int]) -> 
 def naive_greedy(
     objective: SubmodularObjective, k: int, initial: Iterable[int] = ()
 ) -> SelectionResult:
-    """Plain naive greedy: the reference the optimizer's heap loop must match.
+    """Plain naive greedy: the reference the optimizer's lazy queue must match.
 
     ``initial`` indices are applied first, in order. Then each step calls
     ``objective.gain`` on every remaining candidate in ascending index

@@ -30,3 +30,21 @@ def sparse_and_dense(rng, n, zero_fraction=0.9):
     dense[rng.random(size=(n, n)) < zero_fraction] = 0.0
     triples = [(int(i), int(j), float(dense[i, j])) for i, j in np.argwhere(dense != 0.0)]
     return SimilarityMatrix.from_dense(dense), sparse_from_triples(n, triples)
+
+
+def wide_features(rng, n, d):
+    """Features for stressing gain bounds: magnitudes from 1e-12 to 1e8,
+    columns that are mostly zero, and rows that nearly repeat others."""
+    X = 10.0 ** rng.uniform(-12.0, 8.0, size=(n, d))
+    X[rng.random(size=(n, d)) < rng.uniform(0.0, 0.95, size=d)] = 0.0
+    copies = rng.random(n) < 0.3
+    X[copies] = X[rng.integers(n, size=int(copies.sum()))] * (1.0 + 1e-15 * rng.integers(-4, 5, size=(1, d)))
+    return X
+
+
+def weights_with_zero(rng, d):
+    """Feature weights from 1e-3 to 1e3 with at least one zero."""
+    w = 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+    w[rng.random(d) < 0.3] = 0.0
+    w[rng.integers(d)] = 0.0
+    return w

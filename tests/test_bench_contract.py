@@ -51,6 +51,8 @@ def test_traced_fit_satisfies_the_trace_checks():
 def test_traced_pure_lazy_feature_fit_satisfies_the_trace_checks():
     # Pure lazy builds its queue from one naive sweep; the tracer must still
     # see one gain call per counted evaluation and label every pick lazy.
+    # Each lazy step after the sweep asks the objective for its gain bounds
+    # once, through a method of its own that the tracer times by name.
     spans = _load_spans()
     X = np.random.default_rng(13).uniform(size=(40, 6))
     selector = FeatureBasedSelector(7, verbose=True, progress=lambda record: None)
@@ -65,6 +67,7 @@ def test_traced_pure_lazy_feature_fit_satisfies_the_trace_checks():
     picks = [s for s in tracer.spans if s["name"] == "optimizer.pick"]
     assert [s["attrs"]["phase"] for s in picks] == ["lazy"] * 7
     assert picks[0]["attrs"]["evals"] == 40
+    assert tracer.objective_calls["upper_bounds"][0] == 7 - 1
 
 
 def test_traced_fit_with_initial_and_naive_rounds_satisfies_the_trace_checks():
@@ -88,7 +91,7 @@ def test_traced_fit_with_initial_and_naive_rounds_satisfies_the_trace_checks():
     assert selector.ranking_[:2] == (4, 9)
     # Two replayed indices, then sweeps over 23 and 22 candidates.
     assert [r.evaluations for r in records[:4]] == [1, 2, 2 + 23, 2 + 23 + 22]
-    assert selector.result_.evaluations == records[-1].evaluations == 64
+    assert selector.result_.evaluations == records[-1].evaluations == 53
 
 
 def test_traced_cli_feature_run_satisfies_the_trace_checks(tmp_path, capsys):

@@ -163,6 +163,20 @@ class TestFacilityLocation:
         err = capsys.readouterr().err
         assert "in.csv:2" in err and "all-zero" in err
 
+    def test_negative_cosine_names_both_lines_and_no_python_keyword(self, tmp_path, capsys):
+        code, out = run_cli(
+            tmp_path,
+            "--function", "facility-location", "--similarity", "cosine",
+            "--k", "1", "--header",
+            input_text="x,y\n1,0\n-1,0.5\n",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "in.csv:2: cosine similarity is negative (-0.894" in err
+        assert "for the rows on lines 2 and 3" in err
+        assert "clamp_negative" not in err
+        assert not out.exists()
+
 
 class TestTriplesDiagnostics:
     def run_triples(self, tmp_path, text):
@@ -346,7 +360,7 @@ class TestInitialFile:
         assert code == 1
         err = capsys.readouterr().err
         assert "out of range" in err
-        assert "init.txt: initial index 7 out of range" in err
+        assert "init.txt:1: initial index 7 out of range for 2 examples" in err
 
     @pytest.mark.parametrize("text, needle", [
         ("1\n\n1  # again\n", "init.txt:3: initial indices must be distinct"),

@@ -20,7 +20,13 @@ from subsel import (
     facility_location_eval,
     feature_based_eval,
 )
-from instances import rand_features, rand_similarity, sparse_and_dense
+from instances import (
+    rand_features,
+    rand_similarity,
+    sparse_and_dense,
+    weights_with_zero,
+    wide_features,
+)
 
 S3 = SimilarityMatrix.from_dense([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
 F2 = FeatureMatrix([[4.0, 9.0], [1.0, 0.0]])
@@ -283,6 +289,45 @@ class TestFeatureBasedGain:
                     expected = float(np.sum(w * (phi(fs + F[v]) - phi(fs))))
                     assert obj.gain(state, v) == expected
             obj.update(state, int(rng.choice([v for v in range(30) if not state.is_selected(v)])))
+
+
+def _bounds_hold_at_every_step(obj, order):
+    """Check ``upper_bounds`` against every remaining gain, then select the
+    next index of ``order``, until ``order`` is used up."""
+    state = obj.new_state()
+    for chosen in order:
+        bounds = obj.upper_bounds(state)
+        assert bounds.shape == (obj.n_examples,)
+        for v in range(obj.n_examples):
+            if not state.is_selected(v):
+                assert bounds[v] >= obj.gain(state, v), (v, len(state.selected))
+        obj.update(state, int(chosen))
+
+
+class TestFeatureBasedUpperBounds:
+    """Each bound is at or above the float ``gain`` returns, rounding included."""
+
+    @pytest.mark.parametrize("concave", ["sqrt", "log"])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bounds_hold_on_wide_zero_heavy_near_duplicate_rows(self, concave, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 30)), int(rng.integers(1, 7))
+        obj = FeatureBasedObjective(wide_features(rng, n, d), concave,
+                                    weights=weights_with_zero(rng, d))
+        _bounds_hold_at_every_step(obj, rng.permutation(n)[: int(rng.integers(1, n + 1))])
+
+    @pytest.mark.parametrize("concave", ["sqrt", "log"])
+    def test_bounds_hold_for_tiny_rows_on_a_large_mass(self, concave):
+        # After the 1e8 row, F + x rounds to a multiple of ulp(1e8) ~ 1.5e-8,
+        # so many computed gains exceed phi'(F) x; the slack must cover them.
+        rng = np.random.default_rng(71)
+        X = np.vstack([[1e8], rng.uniform(1e-9, 1e-7, size=(400, 1))])
+        _bounds_hold_at_every_step(FeatureBasedObjective(X, concave), [0, 1])
+
+    def test_other_objectives_have_no_bounds(self):
+        for obj in (FacilityLocationObjective(S3), FunctionObjective(lambda X: 0.0, 3)):
+            assert obj.upper_bounds(obj.new_state()) is None
 
 
 class TestFunctionObjective:

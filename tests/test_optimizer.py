@@ -29,6 +29,8 @@ from instances import (
     rand_features,
     rand_similarity,
     sparse_and_dense,
+    weights_with_zero,
+    wide_features,
 )
 
 S3 = SimilarityMatrix.from_dense([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
@@ -93,7 +95,7 @@ class TestNaiveStep:
 
 
 class TestLazyStep:
-    """Lazy greedy from +inf bounds, as a check on the optimizer's heap loop."""
+    """Lazy greedy from +inf bounds, as a check on the optimizer's lazy queue."""
 
     def test_first_step_matches_naive(self):
         ranking, gains, spent = _heap_lazy(FacilityLocationObjective(S3), 1)
@@ -175,6 +177,13 @@ class TestEvaluationCounts:
         assert lazy.evaluations < naive.evaluations
 
 
+class _UnboundedFeatures(FeatureBasedObjective):
+    """The feature-based objective without its gain bounds."""
+
+    def upper_bounds(self, state):
+        return None
+
+
 class TestFirstLazyStep:
     """Pure lazy's first step is one naive sweep; the queue is built from it."""
 
@@ -183,10 +192,12 @@ class TestFirstLazyStep:
         rng = np.random.default_rng(53)
         dense, sparse = sparse_and_dense(rng, 40, zero_fraction=0.7)
         F = rand_features(rng, 40, 6)
-        return [FeatureBasedObjective(F), FacilityLocationObjective(dense),
-                FacilityLocationObjective(sparse)]
+        return [FeatureBasedObjective(F), _UnboundedFeatures(F),
+                FacilityLocationObjective(dense), FacilityLocationObjective(sparse)]
 
     def test_zero_and_one_naive_rounds_spend_identical_evaluations(self):
+        # Without gain bounds the optimizer evaluates exactly what a heap of
+        # stale bounds does, step by step; with them, never more.
         for obj in self._objectives():
             runs = []
             for rounds in (0, 1):
@@ -198,7 +209,11 @@ class TestFirstLazyStep:
             assert (lazy.ranking, lazy.gains) == (one.ranking, one.gains)
             ranking, _, spent = _heap_lazy(obj, 12)
             assert ranking == lazy.ranking
-            assert list(np.cumsum(spent)) == lazy_evals
+            if obj.upper_bounds(obj.new_state()) is None:
+                assert list(np.cumsum(spent)) == lazy_evals
+            else:
+                assert (np.diff(lazy_evals, prepend=0) <= spent).all()
+                assert lazy_evals[-1] < sum(spent)
 
 
 class TestProgressSeconds:
@@ -288,7 +303,7 @@ class TestTieHeavyInvariance:
 
 
 class TestAgainstNaiveReference:
-    """The optimizer against ``oracle.naive_greedy``, which has no heap."""
+    """The optimizer against ``oracle.naive_greedy``, which has no queue."""
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -302,8 +317,13 @@ class TestAgainstNaiveReference:
         sparse = sparse_from_triples(
             n, [(int(i), int(j), float(S[i, j])) for i, j in np.argwhere(S != 0.0)]
         )
+        # Gain bounds must not change the answer: both saturators, and
+        # weights that include zero.
+        w = weights_with_zero(rng, 4)
         factories = (
             lambda: FeatureBasedObjective(F),
+            lambda: FeatureBasedObjective(F, "sqrt", weights=w),
+            lambda: FeatureBasedObjective(F, "log", weights=w),
             lambda: FacilityLocationObjective(dense),
             lambda: FacilityLocationObjective(sparse),
         )
@@ -316,6 +336,21 @@ class TestAgainstNaiveReference:
                     assert np.array(result.gains).tobytes() == np.array(reference.gains).tobytes()
                     if rounds == k:
                         assert result.evaluations == reference.evaluations
+
+
+@pytest.mark.xfail(strict=True, reason="a gain at rounding level can rise as the selection "
+                   "grows, so a stale lazy bound can miss the candidate naive greedy takes")
+def test_rounding_level_gains_can_break_lazy_equals_naive():
+    # Candidate 19's computed sqrt gain reads 1.2e-10, 0 and 1.2e-10 again at
+    # later steps: float gains are not monotone, whatever the exact ones do.
+    # A heap of stale bounds misses it at step 12 as well.
+    rng = np.random.default_rng(1062)
+    n = int(rng.integers(2, 30))
+    k = int(rng.integers(1, n + 1))
+    W, w = wide_features(rng, n, 5), weights_with_zero(rng, 5)
+    reference = naive_greedy(FeatureBasedObjective(W, "sqrt", weights=w), k)
+    result = hybrid_maximize(FeatureBasedObjective(W, "sqrt", weights=w), k)
+    assert result.ranking == reference.ranking
 
 
 def _inf_with_0_and_1():

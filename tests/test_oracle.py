@@ -1,6 +1,5 @@
 """From-scratch evaluators, brute force and the approximation-ratio check."""
 
-import heapq
 import math
 from types import SimpleNamespace
 
@@ -180,8 +179,7 @@ class TestNaiveGreedy:
             raise AssertionError("the reference greedy used the optimizer's loop")
 
         monkeypatch.setattr(subsel.optimizer, "_gain", refuse)
-        for name in ("heapify", "heappush", "heappop", "heapreplace"):
-            monkeypatch.setattr(heapq, name, refuse)
+        monkeypatch.setattr(subsel.optimizer, "_lazy_pick", refuse)
         result = naive_greedy(FacilityLocationObjective(S3), 2)
         assert result.ranking == (1, 2)
         assert sum(result.gains) == pytest.approx(facility_location_eval(S3, [1, 2]), rel=1e-12)
