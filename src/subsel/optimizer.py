@@ -6,20 +6,20 @@ is an upper bound on candidate v's gain, or -inf once v is selected. Bounds
 from earlier steps stay valid because marginal gains only shrink as the
 selection grows.
 
-A sweep step evaluates every remaining candidate in ascending index order
-into ``bound`` and takes its argmax, whose first maximum is the smallest
-index: naive greedy's choice. The first step is always a sweep, since with
-no bounds yet it has to evaluate every candidate anyway; ``naive_rounds``
-asks for more sweep steps. So 0 and 1 naive rounds are the same run.
-
-A lazy step first caps the stale bounds with the objective's own
-``upper_bounds(state)``, when it has them. It then visits candidates in
+Every step is one routine, :func:`_lazy_pick`: it visits candidates in
 order of their bounds at the start of the step (largest first, ties by
-smallest index) and evaluates each, until the next bound is below the best
-fresh gain, or equal to it with a larger index. No candidate left can then
-beat that gain, so it is the candidate naive greedy would take. Without
-``upper_bounds`` this evaluates exactly the candidates a heap of stale
-bounds re-scores; with them, never more.
+smallest index), writing each fresh gain into ``bound``, until the next
+bound is below the best fresh gain, or equal to it with a larger index. No
+candidate left can then beat that gain: it is naive greedy's choice. A lazy
+step first caps its stale bounds with the objective's ``upper_bounds(state)``
+when it has them; without them it evaluates exactly the candidates a heap of
+stale bounds re-scores, with them never more.
+
+A sweep step is the same step with its bounds forgotten (all +inf), so it
+evaluates every remaining candidate in index order and the first maximum
+wins. The first step is always a sweep, as with no bounds yet it must
+evaluate every candidate; ``naive_rounds`` asks for more, so 0 and 1 naive
+rounds are the same run.
 
 Every gain the optimizer uses comes from one ``objective.gain`` call made
 through :func:`_gain`, which refuses a NaN or infinite value: a non-finite
@@ -127,40 +127,34 @@ def _gain(objective: SubmodularObjective, state: ObjectiveState, v) -> float:
     return g
 
 
-def _lazy_pick(objective, state, bound, size, seen, fresh):
-    """One lazy step: ``(index, gain, count)``.
+def _lazy_pick(objective, state, bound, size):
+    """One greedy step: ``(index, gain, count)``.
 
-    Candidates are visited in (-bound, index) order of ``bound``, which this
-    leaves unchanged, until the next bound is below the best fresh gain, or
-    equal to it with a larger index: then no unvisited candidate can beat
-    it. The first ``count`` entries of ``seen`` and ``fresh`` receive the
-    visited candidates and their gains. The order is built chunk by chunk:
-    a chunk is every candidate whose bound is at least the ``size``-th
-    largest and below the previous chunk's, and ``size`` doubles each time.
+    Candidates are visited in (-bound, index) order of ``bound`` as the step
+    starts, each fresh gain written into ``bound``, until the next bound is
+    below the best fresh gain, or equal to it with a larger index: then no
+    unvisited candidate can beat it. ``count`` were visited. The order is
+    built prefix by prefix: a prefix is every candidate whose bound is above
+    the ``size``-th largest (so never a selected one, at -inf), ``size``
+    doubles each time, and a prefix's first ``count`` are already visited.
     """
-    best, best_gain, count = -1, -math.inf, 0
+    start = bound.copy()  # fixes the visit order
     n = bound.size
-    above = math.inf  # every bound of the previous chunks is at least this
-    while above > -math.inf:
-        threshold = np.partition(bound, n - size)[n - size] if size < n else -math.inf
-        # Selected candidates hold -inf: a threshold of -inf takes the rest.
-        chunk = bound >= threshold if threshold > -math.inf else bound > threshold
-        if above < math.inf:
-            chunk &= bound < above
-        pool = np.flatnonzero(chunk)
-        vals = bound[pool]
-        order = np.lexsort((pool, -vals))
-        pool, vals = pool[order], vals[order]
-        for j in range(pool.size):
-            v, b = int(pool[j]), vals[j]
-            if b < best_gain or (b == best_gain and v > best):
+    best, best_gain, count = -1, -math.inf, 0
+    threshold = math.inf
+    while threshold > -math.inf:
+        threshold = np.partition(start, n - size)[n - size] if size < n else -math.inf
+        pool = np.flatnonzero(start > threshold)
+        vals = start[pool]
+        order = np.lexsort((pool, -vals))[count:]
+        # A memoryview yields Python numbers one at a time: no n-item lists.
+        for v, b in zip(memoryview(pool[order]), memoryview(vals[order])):
+            if b <= best_gain and (b < best_gain or v > best):
                 return best, best_gain, count
-            g = _gain(objective, state, v)
-            seen[count], fresh[count] = v, g
+            g = bound[v] = _gain(objective, state, v)
             count += 1
-            if g > best_gain or (g == best_gain and v < best):
+            if g >= best_gain and (g > best_gain or v < best):
                 best, best_gain = v, g
-        above = threshold
         size *= 2
     return best, best_gain, count
 
@@ -191,9 +185,10 @@ def hybrid_maximize(
     lazy, ``naive_rounds >= k`` pure naive.
 
     Raises InputError for a ``k``, ``naive_rounds`` or ``initial`` index
-    that is not an integer in range, and for a gain that is NaN or infinite;
-    IndexError for an ``initial`` index that is not an example. Either
-    error about an ``initial`` index has its position there as ``row``.
+    that is not an integer in range, for a gain that is NaN or infinite and
+    for ``upper_bounds`` that are not n floats; IndexError for an
+    ``initial`` index that is not an example. Either error about an
+    ``initial`` index has its position there as ``row``.
 
     When ``progress`` is given it receives one ProgressRecord per selection.
     """
@@ -226,34 +221,25 @@ def hybrid_maximize(
                                     time.perf_counter() - start))
 
     # bound[v]: an upper bound on v's gain, or -inf once v is selected.
-    bound = np.full(n, -np.inf)
-    seen, fresh = np.empty(n, dtype=np.intp), np.empty(n)  # a lazy step's visits
+    bound = np.full(n, np.inf)
     for v in initial:
         g = _gain(objective, state, v)
         evaluations += 1
         objective.update(state, v)
+        bound[v] = -np.inf
         record(v, g)
 
-    taken = set(ranking)
-    sweep_end = len(ranking) + max(naive_rounds, 1)
+    spent = n  # so the first step's prefix is every candidate
     while len(ranking) < target:
-        if len(ranking) < sweep_end:
-            # Sweep step: every remaining candidate gets a fresh bound, and
-            # argmax takes the largest gain, then the smallest index.
-            for v in range(n):
-                if v not in taken:
-                    bound[v] = _gain(objective, state, v)
-            spent = n - len(ranking)
-            index = int(np.argmax(bound))
-            gain = float(bound[index])
-        else:
-            caps = objective.upper_bounds(state)
-            if caps is not None:
-                np.fmin(bound, caps, out=bound)  # a NaN cap keeps the stale bound
-            index, gain, spent = _lazy_pick(objective, state, bound, 2 * spent + 2, seen, fresh)
-            bound[seen[:spent]] = fresh[:spent]
+        if len(ranking) < len(initial) + max(naive_rounds, 1):
+            bound[bound > -np.inf] = np.inf  # a sweep: every bound forgotten
+        elif (caps := objective.upper_bounds(state)) is not None:
+            if np.shape(caps) != (n,):
+                raise InputError(f"upper_bounds returned shape {np.shape(caps)}; "
+                                 f"expected ({n},), one float per example")
+            np.fmin(bound, caps, out=bound)  # a NaN cap keeps the stale bound
+        index, gain, spent = _lazy_pick(objective, state, bound, 2 * spent + 2)
         bound[index] = -np.inf
-        taken.add(index)
         objective.update(state, index)
         evaluations += spent
         record(index, gain)

@@ -3,6 +3,7 @@
 import dataclasses
 import heapq
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,11 @@ class TestEvaluationCounts:
         obj = FeatureBasedObjective(rand_features(rng, n, 5))
         naive = hybrid_maximize(obj, k, naive_rounds=k)
         assert naive.evaluations == sum(n - i for i in range(k))
+        # Each initial index costs one evaluation; the sweeps start after it.
+        initial = [4, 31]
+        seeded = hybrid_maximize(obj, k, naive_rounds=k, initial=initial)
+        m = len(initial)
+        assert seeded.evaluations == m + sum(n - m - i for i in range(k - m))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -182,6 +188,32 @@ class _UnboundedFeatures(FeatureBasedObjective):
 
     def upper_bounds(self, state):
         return None
+
+
+class _MisshapenBounds(FeatureBasedObjective):
+    """The feature-based objective with its gain bounds reshaped."""
+
+    def __init__(self, X, reshape):
+        super().__init__(X)
+        self.reshape = reshape
+
+    def upper_bounds(self, state):
+        return self.reshape(super().upper_bounds(state))
+
+
+class TestUpperBoundsShape:
+    @pytest.mark.parametrize(
+        "reshape,shape",
+        [(lambda b: np.append(b, 0.0), "(7,)"), (lambda b: b[:, None], "(6, 1)")],
+        ids=["n+1", "column"],
+    )
+    def test_bounds_that_are_not_n_floats_are_refused(self, reshape, shape):
+        obj = _MisshapenBounds(rand_features(np.random.default_rng(5), 6, 3), reshape)
+        with pytest.raises(InputError, match=re.escape(f"upper_bounds returned shape {shape}; "
+                                                       "expected (6,)")):
+            hybrid_maximize(obj, 3)
+        # Sweep steps never ask for bounds.
+        assert len(hybrid_maximize(obj, 3, naive_rounds=3)) == 3
 
 
 class TestFirstLazyStep:
@@ -402,7 +434,7 @@ class TestInitialSelection:
     def test_initial_counts_as_evaluations(self):
         obj = modular_objective([3.0, 1.0, 2.0])
         result = hybrid_maximize(obj, k=2, initial=[1])
-        assert result.evaluations >= 1
+        assert result.evaluations == 1 + 2  # the replay, then a sweep of 0 and 2
 
     def test_greedy_tail_gains_are_non_increasing(self):
         rng = np.random.default_rng(59)
