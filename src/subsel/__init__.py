@@ -33,14 +33,13 @@ from .objectives import (
     FacilityLocationObjective,
     FeatureBasedObjective,
     FunctionObjective,
-    Saturator,
     SubmodularObjective,
 )
 from .optimizer import ProgressRecord, SelectionResult, hybrid_maximize
 from .oracle import facility_location_eval, feature_based_eval
 from .selector import BaseSelector, FacilityLocationSelector, FeatureBasedSelector
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "FeatureMatrix",
@@ -48,7 +47,6 @@ __all__ = [
     "squared_correlation_similarity",
     "cosine_similarity",
     "sparse_from_triples",
-    "Saturator",
     "SubmodularObjective",
     "FacilityLocationObjective",
     "FeatureBasedObjective",

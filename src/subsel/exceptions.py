@@ -60,14 +60,13 @@ class NegativeCosineError(ConstraintViolationError):
 class TripleValidationError(InputError):
     """A sparse (row, col, value) triple failed validation.
 
-    ``triple_index`` is the position of the offending triple in the input
-    sequence and ``triple`` is its content, so callers that read triples from
-    a file can map the failure back to a line.
+    ``row`` is the position of the offending triple in the input sequence and
+    ``triple`` is its content, so callers that read triples from a file can
+    map the failure back to a line.
     """
 
-    def __init__(self, message: str, triple_index: int, triple: tuple):
-        super().__init__(message, triple_index)
-        self.triple_index = triple_index
+    def __init__(self, message: str, row: int, triple: tuple):
+        super().__init__(message, row)
         self.triple = triple
 
 

@@ -157,11 +157,11 @@ class FeatureMatrix:
 class SimilarityMatrix:
     """Square n x n table of non-negative similarities, dense or sparse.
 
-    ``SimilarityMatrix(values)``, also named :meth:`from_dense`, copies a
-    dense square array and checks that every entry is finite and >= 0, as
-    ``FeatureMatrix(values)`` does; asymmetry is allowed. The sparse form,
-    built by :func:`sparse_from_triples`, stores rows in CSR layout with
-    columns sorted ascending; entries not stored are zero.
+    ``SimilarityMatrix(values)`` copies a dense square array and checks that
+    every entry is finite and >= 0, as ``FeatureMatrix(values)`` does;
+    asymmetry is allowed. The sparse form, built by :func:`sparse_from_triples`,
+    stores rows in CSR layout with columns sorted ascending; entries not
+    stored are zero.
     """
 
     def __init__(self, values):
@@ -174,11 +174,6 @@ class SimilarityMatrix:
         matrix = cls.__new__(cls)
         matrix._adopt(arr)
         return matrix
-
-    @classmethod
-    def from_dense(cls, values) -> "SimilarityMatrix":
-        """``SimilarityMatrix(values)``: a checked copy of a dense square array."""
-        return cls(values)
 
     @classmethod
     def _from_csr(cls, indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "SimilarityMatrix":
@@ -223,19 +218,6 @@ class SimilarityMatrix:
             return slice(None), self._dense[i]
         lo, hi = self._indptr[i], self._indptr[i + 1]
         return self._cols[lo:hi], self._vals[lo:hi]
-
-    def lookup(self, i: int, j: int) -> float:
-        """Similarity of candidate i to element j; absent sparse entries read 0."""
-        n = self._n
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"index ({i}, {j}) out of range for {n} x {n} similarity matrix")
-        if self._dense is not None:
-            return float(self._dense[i, j])
-        cols, vals = self.row(i)
-        k = np.searchsorted(cols, j)
-        if k < len(cols) and cols[k] == j:
-            return float(vals[k])
-        return 0.0
 
     def to_dense(self) -> np.ndarray:
         """Materialize as a dense (n, n) array (copy)."""

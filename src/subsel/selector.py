@@ -54,11 +54,11 @@ class BaseSelector:
         Indices forced into the selection first, in the given order: at most
         ``k`` distinct integers (numpy integers count, ``bool`` does not).
     verbose : bool
-        Emit one progress record per selected example to ``progress`` (or to
-        stderr when no sink is given).
+        Print one progress line per selected example to stderr, unless a
+        ``progress`` sink is given.
     progress : callable, optional
-        Sink receiving ProgressRecord instances; implies nothing unless
-        ``verbose`` is true.
+        Sink receiving one ProgressRecord per selected example, whether or
+        not ``verbose`` is true.
     """
 
     def __init__(
@@ -82,9 +82,9 @@ class BaseSelector:
     def fit(self, data) -> "BaseSelector":
         """Run the selection on ``data`` and store the ranking. Returns self."""
         objective = self._build_objective(data)
-        sink = None
-        if self.verbose:
-            sink = self.progress if self.progress is not None else _print_progress
+        sink = self.progress
+        if sink is None and self.verbose:
+            sink = _print_progress
         self.result_ = hybrid_maximize(
             objective,
             self.k,

@@ -29,7 +29,7 @@ def sparse_and_dense(rng, n, zero_fraction=0.9):
     dense = rng.uniform(0.0, 1.0, size=(n, n))
     dense[rng.random(size=(n, n)) < zero_fraction] = 0.0
     triples = [(int(i), int(j), float(dense[i, j])) for i, j in np.argwhere(dense != 0.0)]
-    return SimilarityMatrix.from_dense(dense), sparse_from_triples(n, triples)
+    return SimilarityMatrix(dense), sparse_from_triples(n, triples)
 
 
 def wide_features(rng, n, d):

@@ -54,7 +54,7 @@ def _equivalence_runs():
         runs.append(("feature-based", lazy, naive, reference,
                      feature_based_eval(F, None, "sqrt", lazy.ranking)))
 
-        S = SimilarityMatrix.from_dense(rng.uniform(size=(EQ_N, EQ_N)))
+        S = SimilarityMatrix(rng.uniform(size=(EQ_N, EQ_N)))
         obj = FacilityLocationObjective(S)
         lazy = hybrid_maximize(obj, EQ_K)
         naive = hybrid_maximize(obj, EQ_K, naive_rounds=EQ_K)
@@ -78,7 +78,7 @@ def _guarantee_runs():
         ratio = 1.0 if opt_value == 0.0 else greedy_value / opt_value
         runs.append(("feature-based", res, greedy_value, ratio))
 
-        S = SimilarityMatrix.from_dense(rng.uniform(size=(10, 10)))
+        S = SimilarityMatrix(rng.uniform(size=(10, 10)))
         sdirect = lambda X, S=S: facility_location_eval(S, X)
         res = hybrid_maximize(FacilityLocationObjective(S), 3)
         opt_value, _ = brute_force_max(sdirect, 10, 3)
@@ -139,7 +139,7 @@ def test_03_monotone_submodular_gains(capsys):
         n = int(rng.integers(3, 31))
         objectives = (
             FeatureBasedObjective(FeatureMatrix(rng.uniform(size=(n, 8)))),
-            FacilityLocationObjective(SimilarityMatrix.from_dense(rng.uniform(size=(n, n)))),
+            FacilityLocationObjective(SimilarityMatrix(rng.uniform(size=(n, n)))),
         )
         perm = rng.permutation(n)
         z_size = int(rng.integers(1, n))
@@ -195,15 +195,15 @@ def test_05_sparse_and_dense_select_identically(capsys):
         triples = [
             (int(i), int(j), float(dense[i, j])) for i, j in np.argwhere(dense != 0.0)
         ]
-        from_dense = hybrid_maximize(
-            FacilityLocationObjective(SimilarityMatrix.from_dense(dense)), 25
+        from_array = hybrid_maximize(
+            FacilityLocationObjective(SimilarityMatrix(dense)), 25
         )
         from_triples = hybrid_maximize(
             FacilityLocationObjective(sparse_from_triples(200, triples)), 25
         )
         if (
-            from_dense.ranking == from_triples.ranking
-            and from_dense.gains == from_triples.gains
+            from_array.ranking == from_triples.ranking
+            and from_array.gains == from_triples.gains
         ):
             identical += 1
     ok = identical == trials
@@ -246,7 +246,7 @@ def test_07_covers_every_gaussian_cluster(capsys):
         distances = np.sqrt(
             ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
         )
-        S = SimilarityMatrix.from_dense(1.0 / (1.0 + distances))
+        S = SimilarityMatrix(1.0 / (1.0 + distances))
         result = hybrid_maximize(FacilityLocationObjective(S), 6)
         picked = sorted(labels[list(result.ranking)].tolist())
         if picked != [0, 1, 2, 3, 4, 5]:
@@ -287,7 +287,7 @@ def test_09_hybrid_knobs_never_change_the_answer(capsys):
     rng = np.random.default_rng(3)
     k = 25
     F = FeatureMatrix(rng.uniform(size=(200, 20)))
-    S = SimilarityMatrix.from_dense(rng.uniform(size=(200, 200)))
+    S = SimilarityMatrix(rng.uniform(size=(200, 200)))
     distinct = {}
     for label, factory in (
         ("feature-based", lambda: FeatureBasedObjective(F)),

@@ -73,21 +73,21 @@ class TestFeatureMatrix:
 
 
 class TestDenseSimilarity:
-    def test_from_dense_basics(self):
-        S = SimilarityMatrix.from_dense([[1.0, 0.5], [0.3, 1.0]])
+    def test_dense_basics(self):
+        S = SimilarityMatrix([[1.0, 0.5], [0.3, 1.0]])
         assert not S.is_sparse
         assert S.n_examples == 2
         assert S.nnz == 4
-        assert S.lookup(0, 1) == 0.5
-        assert S.lookup(1, 0) == 0.3  # asymmetry is allowed
+        assert S.to_dense()[0, 1] == 0.5
+        assert S.to_dense()[1, 0] == 0.3  # asymmetry is allowed
 
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
-            SimilarityMatrix.from_dense([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3]])
+            SimilarityMatrix([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3]])
 
     def test_rejects_negative(self):
         with pytest.raises(ConstraintViolationError) as exc:
-            SimilarityMatrix.from_dense([[1.0, -0.1], [0.5, 1.0]])
+            SimilarityMatrix([[1.0, -0.1], [0.5, 1.0]])
         assert exc.value.position == (0, 1)
 
     @pytest.mark.parametrize("values, position", [
@@ -99,47 +99,34 @@ class TestDenseSimilarity:
             SimilarityMatrix(values)
         assert exc.value.position == position
 
-    def test_constructor_is_from_dense(self):
-        values = np.array([[1.0, 0.5], [0.3, 1.0]])
-        S = SimilarityMatrix(values)
-        values[0, 1] = 9.0
-        assert S.lookup(0, 1) == 0.5
-        expected = SimilarityMatrix.from_dense([[1.0, 0.5], [0.3, 1.0]])
-        assert S.to_dense().tobytes() == expected.to_dense().tobytes()
+    def test_constructor_takes_no_dense_keyword(self):
         with pytest.raises(TypeError):
-            SimilarityMatrix(dense=values)
-
-    def test_lookup_out_of_range(self):
-        S = SimilarityMatrix.from_dense([[1.0]])
-        with pytest.raises(IndexError):
-            S.lookup(0, 1)
-        with pytest.raises(IndexError):
-            S.lookup(-1, 0)
+            SimilarityMatrix(dense=np.eye(2))
 
     def test_dense_is_read_only(self):
-        S = SimilarityMatrix.from_dense([[1.0, 0.0], [0.0, 1.0]])
+        S = SimilarityMatrix([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             S.row(0)[1][0] = 2.0
 
     def test_row_reads_every_column(self):
-        S = SimilarityMatrix.from_dense([[1.0, 0.5], [0.25, 1.0]])
+        S = SimilarityMatrix([[1.0, 0.5], [0.25, 1.0]])
         cols, vals = S.row(1)
         assert cols == slice(None)
         assert vals.tolist() == [0.25, 1.0]
         assert np.arange(2.0)[cols].tolist() == [0.0, 1.0]
 
     def test_to_dense_returns_copy(self):
-        S = SimilarityMatrix.from_dense([[1.0, 0.0], [0.0, 1.0]])
+        S = SimilarityMatrix([[1.0, 0.0], [0.0, 1.0]])
         out = S.to_dense()
         out[0, 0] = 7.0
-        assert S.lookup(0, 0) == 1.0
+        assert S.to_dense()[0, 0] == 1.0
 
-    def test_from_dense_copies_the_callers_array(self):
+    def test_constructor_copies_the_callers_array(self):
         values = np.array([[1.0, 0.5], [0.3, 1.0]])
-        S = SimilarityMatrix.from_dense(values)
+        S = SimilarityMatrix(values)
         assert values.flags.writeable
         values[0, 1] = 9.0
-        assert S.lookup(0, 1) == 0.5
+        assert S.to_dense()[0, 1] == 0.5
         assert not np.shares_memory(S.row(0)[1], values)
 
 
@@ -166,9 +153,9 @@ class TestSparseSimilarity:
     def test_absent_entries_read_zero(self):
         S = sparse_from_triples(3, [(0, 0, 1.0)])
         assert S.is_sparse
-        assert S.lookup(0, 0) == 1.0
-        assert S.lookup(0, 1) == 0.0
-        assert S.lookup(2, 2) == 0.0
+        assert S.to_dense()[0, 0] == 1.0
+        assert S.to_dense()[0, 1] == 0.0
+        assert S.to_dense()[2, 2] == 0.0
         assert S.nnz == 1
 
     def test_no_triples_is_all_zero(self):
@@ -191,12 +178,12 @@ class TestSparseSimilarity:
     def test_rejects_out_of_range_index(self):
         with pytest.raises(TripleValidationError) as exc:
             sparse_from_triples(2, [(0, 0, 1.0), (0, 2, 0.5)])
-        assert exc.value.triple_index == 1
+        assert exc.value.row == 1
 
     def test_rejects_negative_value(self):
         with pytest.raises(TripleValidationError) as exc:
             sparse_from_triples(2, [(0, 0, -1.0)])
-        assert exc.value.triple_index == 0
+        assert exc.value.row == 0
 
     def test_rejects_nan_value(self):
         with pytest.raises(TripleValidationError):
@@ -205,13 +192,13 @@ class TestSparseSimilarity:
     def test_duplicate_pair_reports_later_occurrence(self):
         with pytest.raises(TripleValidationError) as exc:
             sparse_from_triples(3, [(0, 0, 1.0), (1, 1, 0.5), (0, 0, 2.0)])
-        assert exc.value.triple_index == 2
+        assert exc.value.row == 2
         assert exc.value.triple == (0, 0, 2.0)
 
     def test_rejects_malformed_triple(self):
         with pytest.raises(TripleValidationError) as exc:
             sparse_from_triples(2, [(0, 0)])
-        assert exc.value.triple_index == 0
+        assert exc.value.row == 0
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(DegenerateInputError):
@@ -224,7 +211,7 @@ class TestSparseSimilarity:
 
     def test_numpy_integer_n(self):
         S = sparse_from_triples(np.int64(3), [(0, 2, 0.5)])
-        assert S.n_examples == 3 and S.lookup(0, 2) == 0.5
+        assert S.n_examples == 3 and S.to_dense()[0, 2] == 0.5
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -307,8 +294,8 @@ class TestSparseSortEquivalence:
         n, triples = case
         with pytest.raises(TripleValidationError, match="duplicate") as exc:
             sparse_from_triples(n, triples)
-        assert exc.value.triple_index == _lexsort_reference(n, triples)
-        assert exc.value.triple == triples[exc.value.triple_index].item()
+        assert exc.value.row == _lexsort_reference(n, triples)
+        assert exc.value.triple == triples[exc.value.row].item()
 
     def test_n_whose_square_passes_int64_is_refused_before_any_allocation(self):
         # 3_037_000_500 ** 2 > 2 ** 63; the row pointers alone would be 24 GB.
@@ -331,7 +318,7 @@ class TestCsrSimilarity:
         assert S.row(0)[0].tolist() == [0, 2]  # unsorted CSR columns come back sorted
 
     def test_passes_similarity_matrices_and_dense_arrays_through(self):
-        S = SimilarityMatrix.from_dense([[1.0, 0.5], [0.5, 1.0]])
+        S = SimilarityMatrix([[1.0, 0.5], [0.5, 1.0]])
         assert as_similarity(S) is S
         assert not as_similarity([[1.0, 0.5], [0.5, 1.0]]).is_sparse
 
@@ -355,7 +342,7 @@ class TestCsrSimilarity:
     def test_entry_checks_are_those_of_the_triples_path(self):
         with pytest.raises(TripleValidationError, match="out of range") as exc:
             as_similarity(self._csr([0, 1, 2], [0, 2], [1.0, 1.0], (2, 2)))
-        assert exc.value.triple_index == 1
+        assert exc.value.row == 1
         with pytest.raises(TripleValidationError, match="negative"):
             as_similarity(self._csr([0, 1, 2], [0, 1], [1.0, -1.0], (2, 2)))
         with pytest.raises(TripleValidationError, match="non-finite"):
@@ -375,7 +362,7 @@ class TestCsrSimilarity:
 
     def test_dense_constructors_refuse_sparse_input_by_name(self):
         csr = self._csr([0, 1, 2], [0, 1], [1.0, 1.0], (2, 2))
-        for build in (FeatureMatrix, SimilarityMatrix.from_dense,
+        for build in (FeatureMatrix, SimilarityMatrix,
                       squared_correlation_similarity, cosine_similarity):
             with pytest.raises(InputError, match="must be a dense array, got a sparse SimpleNamespace"):
                 build(csr)
@@ -384,23 +371,23 @@ class TestCsrSimilarity:
 class TestSquaredCorrelation:
     def test_identical_rows_give_one(self):
         S = squared_correlation_similarity([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-        assert S.lookup(0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert S.to_dense()[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_anticorrelated_rows_give_one(self):
         S = squared_correlation_similarity([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
-        assert S.lookup(0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert S.to_dense()[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_evaluated_pearson(self):
         # Pearson((1,2,3),(1,2,4)) = 27/sqrt(2*756) hand-reduced; squared = 27/28.
         S = squared_correlation_similarity([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0]])
-        assert S.lookup(0, 1) == pytest.approx(27.0 / 28.0, rel=1e-12)
-        assert S.lookup(1, 0) == pytest.approx(27.0 / 28.0, rel=1e-12)
+        assert S.to_dense()[0, 1] == pytest.approx(27.0 / 28.0, rel=1e-12)
+        assert S.to_dense()[1, 0] == pytest.approx(27.0 / 28.0, rel=1e-12)
 
     def test_diagonal_is_exactly_one(self):
         rng = np.random.default_rng(3)
         S = squared_correlation_similarity(rng.normal(size=(5, 4)))
         for i in range(5):
-            assert S.lookup(i, i) == 1.0
+            assert S.to_dense()[i, i] == 1.0
 
     def test_symmetric_and_in_unit_range(self):
         rng = np.random.default_rng(4)
@@ -426,7 +413,7 @@ class TestSquaredCorrelation:
     def test_accepts_feature_matrix(self):
         F = FeatureMatrix([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0]])
         S = squared_correlation_similarity(F)
-        assert S.lookup(0, 1) == pytest.approx(27.0 / 28.0, rel=1e-12)
+        assert S.to_dense()[0, 1] == pytest.approx(27.0 / 28.0, rel=1e-12)
 
     def test_single_row_gives_unit_matrix(self):
         S = squared_correlation_similarity([[1.0, 2.0]])
@@ -439,9 +426,9 @@ class TestSquaredCorrelation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             S = squared_correlation_similarity([[scale, 3.0 * scale, 2.0 * scale], [1.0, 2.0, 4.0]])
-        assert S.lookup(0, 1) == 0.10714285714285712
-        assert S.lookup(0, 1) == pytest.approx(3.0 / 28.0, rel=1e-15)
-        assert S.lookup(1, 0) == S.lookup(0, 1)
+        assert S.to_dense()[0, 1] == 0.10714285714285712
+        assert S.to_dense()[0, 1] == pytest.approx(3.0 / 28.0, rel=1e-15)
+        assert S.to_dense()[1, 0] == S.to_dense()[0, 1]
 
     @pytest.mark.parametrize("value", [1e-200, 5e300, 5e-320])
     def test_constant_row_at_the_ends_of_the_float_range_rejected(self, value):
@@ -453,15 +440,15 @@ class TestSquaredCorrelation:
 class TestCosine:
     def test_identical_rows_give_one(self):
         S = cosine_similarity([[1.0, 0.0], [1.0, 0.0]])
-        assert S.lookup(0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert S.to_dense()[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_rows_give_zero(self):
         S = cosine_similarity([[1.0, 0.0], [0.0, 1.0]])
-        assert S.lookup(0, 1) == 0.0
+        assert S.to_dense()[0, 1] == 0.0
 
     def test_scale_invariance(self):
         S = cosine_similarity([[1.0, 1.0], [2.0, 2.0]])
-        assert S.lookup(0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert S.to_dense()[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_row_rejected(self):
         with pytest.raises(DegenerateInputError) as exc:
@@ -474,8 +461,8 @@ class TestCosine:
 
     def test_negative_cosine_clamped_on_request(self):
         S = cosine_similarity([[1.0, 0.0], [-1.0, 0.0]], clamp_negative=True)
-        assert S.lookup(0, 1) == 0.0
-        assert S.lookup(0, 0) == 1.0
+        assert S.to_dense()[0, 1] == 0.0
+        assert S.to_dense()[0, 0] == 1.0
 
     def test_clamped_output_in_unit_range(self):
         rng = np.random.default_rng(5)
@@ -489,15 +476,15 @@ class TestCosine:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             S = cosine_similarity([[scale, scale], [1.0, 2.0]])
-        assert S.lookup(0, 1) == pytest.approx(3.0 / np.sqrt(10.0), rel=1e-12)
-        assert S.lookup(1, 0) == S.lookup(0, 1)
+        assert S.to_dense()[0, 1] == pytest.approx(3.0 / np.sqrt(10.0), rel=1e-12)
+        assert S.to_dense()[1, 0] == S.to_dense()[0, 1]
 
     def test_subnormal_sum_of_squares_keeps_precision(self):
         # 3e-160 squared is subnormal; the cosine of (3, -1) and (1, 1) is 2 / sqrt(20).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             S = cosine_similarity([[3e-160, -1e-160], [1.0, 1.0]])
-        assert S.lookup(0, 1) == pytest.approx(2.0 / np.sqrt(20.0), rel=1e-15)
+        assert S.to_dense()[0, 1] == pytest.approx(2.0 / np.sqrt(20.0), rel=1e-15)
 
     def test_zero_row_rejected_after_a_rescaled_row(self):
         with pytest.raises(DegenerateInputError, match="row 2 is all-zero") as exc:
@@ -536,10 +523,10 @@ class TestFiniteBoundary:
 
     def test_first_bad_entry_in_row_major_order(self):
         with pytest.raises(ConstraintViolationError, match="non-finite") as exc:
-            SimilarityMatrix.from_dense([[1.0, np.inf], [-1.0, 1.0]])
+            SimilarityMatrix([[1.0, np.inf], [-1.0, 1.0]])
         assert exc.value.position == (0, 1)
         with pytest.raises(ConstraintViolationError, match="negative similarity") as exc:
-            SimilarityMatrix.from_dense([[1.0, -1.0], [np.inf, 1.0]])
+            SimilarityMatrix([[1.0, -1.0], [np.inf, 1.0]])
         assert exc.value.position == (0, 1)
 
     @pytest.mark.parametrize("build", [squared_correlation_similarity, cosine_similarity])
@@ -551,33 +538,34 @@ class TestFiniteBoundary:
     def test_triples_reject_inf(self):
         with pytest.raises(TripleValidationError, match="non-finite") as exc:
             sparse_from_triples(2, [(0, 0, 1.0), (1, 1, np.inf)])
-        assert exc.value.triple_index == 1
+        assert exc.value.row == 1
 
     def test_first_offending_triple_in_input_order(self):
         with pytest.raises(TripleValidationError, match="negative") as exc:
             sparse_from_triples(2, [(0, 0, 1.0), (1, 1, -1.0), (0, 5, 1.0)])
-        assert exc.value.triple_index == 1
+        assert exc.value.row == 1
         # Range and value errors win over an earlier duplicate.
         with pytest.raises(TripleValidationError, match="out of range") as exc:
             sparse_from_triples(2, [(0, 0, 1.0), (0, 0, 1.0), (0, 5, 1.0)])
-        assert exc.value.triple_index == 2
+        assert exc.value.row == 2
         # Of two repeated pairs, the repeat that comes first in the input is named.
         with pytest.raises(TripleValidationError, match="duplicate") as exc:
             sparse_from_triples(2, [(1, 1, 1.0), (0, 0, 1.0), (1, 1, 2.0), (0, 0, 2.0)])
-        assert exc.value.triple_index == 2
+        assert exc.value.row == 2
         assert exc.value.triple == (1, 1, 2.0)
 
     def test_index_beyond_int64_is_malformed(self):
         with pytest.raises(TripleValidationError) as exc:
             sparse_from_triples(2, [(0, 0, 1.0), (2**70, 0, 1.0)])
-        assert exc.value.triple_index == 1
+        assert exc.value.row == 1
 
     def test_structured_array_matches_tuples(self):
         rng = np.random.default_rng(11)
         dense, _ = sparse_and_dense(rng, 30)
-        rows, cols = np.nonzero(dense.to_dense())
+        D = dense.to_dense()
+        rows, cols = np.nonzero(D)
         order = rng.permutation(len(rows))
-        tuples = [(int(i), int(j), dense.lookup(int(i), int(j))) for i, j in zip(rows[order], cols[order])]
+        tuples = [(int(i), int(j), float(D[i, j])) for i, j in zip(rows[order], cols[order])]
         from_tuples = sparse_from_triples(30, tuples)
         from_array = sparse_from_triples(30, np.array(tuples, dtype=TRIPLE_DTYPE))
         for a, b in [(from_tuples._indptr, from_array._indptr), (from_tuples._cols, from_array._cols),

@@ -15,10 +15,10 @@ from subsel import (
     FeatureMatrix,
     FunctionObjective,
     InputError,
-    Saturator,
     SimilarityMatrix,
     facility_location_eval,
     feature_based_eval,
+    sparse_from_triples,
 )
 from instances import (
     rand_features,
@@ -28,26 +28,9 @@ from instances import (
     wide_features,
 )
 
-S3 = SimilarityMatrix.from_dense([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+S3 = SimilarityMatrix([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
 F2 = FeatureMatrix([[4.0, 9.0], [1.0, 0.0]])
-
-
-class TestSaturator:
-    def test_sqrt(self):
-        assert Saturator("sqrt")(4.0) == 2.0
-        assert Saturator("sqrt")(0.0) == 0.0
-
-    def test_log_means_log1p(self):
-        assert Saturator("log")(0.0) == 0.0
-        assert Saturator("log")(math.e - 1.0) == pytest.approx(1.0, rel=1e-15)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(InputError):
-            Saturator("cube")
-
-    def test_equality(self):
-        assert Saturator("sqrt") == Saturator("sqrt")
-        assert Saturator("sqrt") != Saturator("log")
+PHI = {"sqrt": np.sqrt, "log": np.log1p}
 
 
 class TestFacilityLocationValue:
@@ -95,7 +78,7 @@ class TestFacilityLocationGain:
         assert obj.gain(state, 1) == pytest.approx(0.6, rel=1e-12)
 
     def test_duplicate_row_gains_exactly_zero(self):
-        S = SimilarityMatrix.from_dense(
+        S = SimilarityMatrix(
             [[0.9, 0.4, 0.1], [0.9, 0.4, 0.1], [0.0, 0.2, 0.8]]
         )
         obj = FacilityLocationObjective(S)
@@ -158,6 +141,30 @@ class TestFacilityLocationGain:
                 obj_d.update(state_d, chosen)
                 obj_s.update(state_s, chosen)
                 assert np.array_equal(state_d.best_sim, state_s.best_sim)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_computed_gains_never_rise_after_an_update(self, sparse, seed):
+        # Lazy greedy takes a stale gain as a bound on the candidate's later
+        # gain, so lazy == naive needs the floats themselves never to rise,
+        # not only the exact gains: compared with no tolerance.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        S = 10.0 ** rng.uniform(-8.0, 2.0, size=(n, n))
+        S[rng.random(size=(n, n)) < 0.3] = 0.0
+        if sparse:
+            S = sparse_from_triples(n, [(int(i), int(j), S[i, j]) for i, j in np.argwhere(S != 0.0)])
+        obj = FacilityLocationObjective(S)
+        state = obj.new_state()
+        previous = [obj.gain(state, v) for v in range(n)]
+        for chosen in rng.permutation(n)[: int(rng.integers(1, n))]:
+            obj.update(state, int(chosen))
+            for v in range(n):
+                if not state.is_selected(v):
+                    gain = obj.gain(state, v)
+                    assert gain <= previous[v]
+                    previous[v] = gain
 
 
 class TestCandidateIndices:
@@ -228,10 +235,19 @@ class TestFeatureBasedGain:
         obj.update(state, 0)
         assert obj.gain(state, 1) == 0.0
 
-    def test_log_saturator(self):
+    def test_log_saturator_is_log1p(self):
         obj = FeatureBasedObjective([[math.e - 1.0]], "log")
         state = obj.new_state()
         assert obj.gain(state, 0) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("concave", ["sqrt", "log"])
+    def test_concave_is_the_name(self, concave):
+        assert FeatureBasedObjective(F2, concave).concave == concave
+
+    @pytest.mark.parametrize("concave", ["cube", ["sqrt"]])
+    def test_unknown_saturator_rejected(self, concave):
+        with pytest.raises(InputError, match=r"unknown saturator .*expected one of \['log', 'sqrt'\]"):
+            FeatureBasedObjective(F2, concave)
 
     def test_weights_scale_gains(self):
         unweighted = FeatureBasedObjective(F2, "sqrt")
@@ -265,7 +281,7 @@ class TestFeatureBasedGain:
     def test_saturated_is_phi_of_feature_sum_bit_for_bit(self, concave):
         rng = np.random.default_rng(31)
         obj = FeatureBasedObjective(rand_features(rng, 20, 6), concave)
-        phi = Saturator(concave)
+        phi = PHI[concave]
         state = obj.new_state()
         assert state.saturated.tobytes() == phi(state.feature_sum).tobytes()
         for v in rng.permutation(20)[:12]:
@@ -280,7 +296,7 @@ class TestFeatureBasedGain:
         F = rand_features(rng, 30, 7)
         w = rng.uniform(0.5, 2.0, size=7)
         obj = FeatureBasedObjective(F, concave, weights=w)
-        phi = Saturator(concave)
+        phi = PHI[concave]
         state = obj.new_state()
         for step in range(6):
             fs = state.feature_sum
@@ -372,7 +388,7 @@ class TestFunctionObjective:
 class TestTelescoping:
     def test_facility_location_gains_sum_to_value(self):
         rng = np.random.default_rng(31)
-        S = SimilarityMatrix.from_dense(rand_similarity(rng, 30))
+        S = SimilarityMatrix(rand_similarity(rng, 30))
         obj = FacilityLocationObjective(S)
         state = obj.new_state()
         total = 0.0

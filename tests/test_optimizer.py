@@ -34,7 +34,7 @@ from instances import (
     wide_features,
 )
 
-S3 = SimilarityMatrix.from_dense([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+S3 = SimilarityMatrix([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
 
 
 def modular_objective(costs):
@@ -322,7 +322,7 @@ class TestTieHeavyInvariance:
         n = int(rng.integers(2, 30))
         k = int(rng.integers(1, n + 1))
         S = _tied_rows(rng, n, n)
-        dense = SimilarityMatrix.from_dense(S)
+        dense = SimilarityMatrix(S)
         sparse = sparse_from_triples(
             n, [(int(i), int(j), float(S[i, j])) for i, j in np.argwhere(S != 0.0)]
         )
@@ -345,7 +345,7 @@ class TestAgainstNaiveReference:
         k = int(rng.integers(1, n + 1))
         F = _tied_rows(rng, n, 4)
         S = _tied_rows(rng, n, n)
-        dense = SimilarityMatrix.from_dense(S)
+        dense = SimilarityMatrix(S)
         sparse = sparse_from_triples(
             n, [(int(i), int(j), float(S[i, j])) for i, j in np.argwhere(S != 0.0)]
         )

@@ -14,12 +14,12 @@ from subsel import (
     FeatureMatrix,
     FunctionObjective,
     InputError,
-    Saturator,
     SimilarityMatrix,
     facility_location_eval,
     feature_based_eval,
     sparse_from_triples,
 )
+from subsel import objectives
 from subsel.oracle import (
     GREEDY_GUARANTEE,
     OracleReport,
@@ -29,7 +29,7 @@ from subsel.oracle import (
 )
 from instances import BAD_INITIAL, rand_features, rand_similarity, sparse_and_dense
 
-S3 = SimilarityMatrix.from_dense([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+S3 = SimilarityMatrix([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
 F2 = FeatureMatrix([[4.0, 9.0], [1.0, 0.0]])
 
 
@@ -135,10 +135,10 @@ class TestOracleIndependence:
         for cls in (FacilityLocationObjective, FeatureBasedObjective):
             monkeypatch.setattr(cls, "gain", refuse)
             monkeypatch.setattr(cls, "update", refuse)
-        monkeypatch.setattr(Saturator, "__call__", refuse)
+        monkeypatch.setattr(objectives, "_SATURATORS", {})
 
         sparse = sparse_from_triples(
-            3, [(i, j, float(S3.lookup(i, j))) for i in range(3) for j in range(3)]
+            3, [(i, j, float(S3.to_dense()[i, j])) for i in range(3) for j in range(3)]
         )
         for S in (S3, sparse):
             assert facility_location_eval(S, [0, 1]) == pytest.approx(2.3, rel=1e-12)
@@ -267,7 +267,7 @@ class TestCheckRatio:
     def test_random_facility_location_instances_meet_the_guarantee(self):
         rng = np.random.default_rng(109)
         for _ in range(50):
-            S = SimilarityMatrix.from_dense(rand_similarity(rng, 10))
+            S = SimilarityMatrix(rand_similarity(rng, 10))
             report = check_ratio(
                 FacilityLocationObjective(S),
                 lambda X, S=S: facility_location_eval(S, X),
@@ -298,7 +298,7 @@ class TestCheckRatio:
 
     def test_greedy_value_is_scored_by_the_direct_evaluator(self):
         rng = np.random.default_rng(113)
-        S = SimilarityMatrix.from_dense(rand_similarity(rng, 9))
+        S = SimilarityMatrix(rand_similarity(rng, 9))
         report = check_ratio(
             FacilityLocationObjective(S), lambda X: facility_location_eval(S, X), k=3
         )

@@ -88,7 +88,7 @@ class TestTransform:
     def test_rejects_similarity_matrix(self):
         sel = FacilityLocationSelector(1).fit(S3)
         with pytest.raises(InputError):
-            sel.transform(SimilarityMatrix.from_dense(S3))
+            sel.transform(SimilarityMatrix(S3))
 
     def test_rejects_non_2d(self):
         sel = FeatureBasedSelector(1).fit([[4.0], [1.0]])
@@ -131,7 +131,7 @@ class TestDataKinds:
         assert sel.gains_ == (1.0,)
 
     def test_precomputed_accepts_similarity_matrix(self):
-        sel = FacilityLocationSelector(1).fit(SimilarityMatrix.from_dense(S3))
+        sel = FacilityLocationSelector(1).fit(SimilarityMatrix(S3))
         assert sel.ranking_ == (1,)
 
     def test_precomputed_rejects_feature_matrix(self):
@@ -143,7 +143,7 @@ class TestDataKinds:
             FacilityLocationSelector(1, similarity="hamming")
 
     def test_constructed_kinds_reject_similarity_matrix(self):
-        S = SimilarityMatrix.from_dense(S3)
+        S = SimilarityMatrix(S3)
         for kind in ("squared-correlation", "cosine"):
             with pytest.raises(InputError):
                 FacilityLocationSelector(1, similarity=kind).fit(S)
@@ -166,7 +166,7 @@ class TestDataKinds:
 
     def test_feature_based_rejects_similarity_matrix(self):
         with pytest.raises(InputError):
-            FeatureBasedSelector(1).fit(SimilarityMatrix.from_dense(S3))
+            FeatureBasedSelector(1).fit(SimilarityMatrix(S3))
 
     def test_precomputed_accepts_scipy_csr_like_its_dense_form(self):
         sp = pytest.importorskip("scipy.sparse")
@@ -234,6 +234,16 @@ class TestVerbose:
         sel.fit([[4.0, 9.0], [1.0, 0.0]])
         assert [r.index for r in records] == list(sel.ranking_)
         assert capsys.readouterr().err == ""
+
+    def test_progress_sink_without_verbose_records_every_pick(self, capsys):
+        records = []
+        sel = FeatureBasedSelector(3, progress=records.append)
+        sel.fit(rand_features(np.random.default_rng(5), 9, 3))
+        assert [r.step for r in records] == [0, 1, 2]
+        assert [r.index for r in records] == list(sel.ranking_)
+        assert [r.gain for r in records] == list(sel.gains_)
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out == ""
 
     def test_stderr_line_reports_seconds_since_start(self, capsys):
         FeatureBasedSelector(3, verbose=True).fit(rand_features(np.random.default_rng(7), 9, 3))
