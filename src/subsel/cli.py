@@ -152,6 +152,10 @@ def _parse(path: str, no: int, field: str, kind, what: str):
 # Bytes a plain input line may hold besides a "\r" that ends it.
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
 
+# Bytes _loadtxt's prescan reads at a time. With 1 MiB, the np.loadtxt call
+# after it peaked ~0.5 MB higher in RSS on a 10k x 50 CSV.
+_PRESCAN_CHUNK = 1 << 16
+
 
 def _loadtxt(path: str, dtype: np.dtype, skip: int) -> tuple[np.ndarray, range] | None:
     """(records, line numbers) of ``path`` after its first ``skip`` lines, read
@@ -162,7 +166,7 @@ def _loadtxt(path: str, dtype: np.dtype, skip: int) -> tuple[np.ndarray, range] 
     """
     n_lines, last = 0, b""
     with _opened(path) as fh:
-        while chunk := fh.read(1 << 20):
+        while chunk := fh.read(_PRESCAN_CHUNK):
             if chunk.endswith(b"\r"):
                 chunk += fh.read(1)
             rest = chunk.translate(None, _PLAIN_BYTES)

@@ -59,6 +59,16 @@ _SATURATORS = {
 }
 
 
+def _saturator(concave):
+    """(phi, phi') of the saturator named ``concave``; InputError for any other value."""
+    try:
+        return _SATURATORS[concave]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise InputError(
+            f"unknown saturator {concave!r}; expected one of {sorted(_SATURATORS)}"
+        ) from None
+
+
 class ObjectiveState:
     """Mutable per-run selection state: the ordered selected indices.
 
@@ -190,12 +200,7 @@ class FeatureBasedObjective(SubmodularObjective):
     def __init__(self, features: FeatureMatrix | np.ndarray, concave="sqrt", weights=None):
         if not isinstance(features, FeatureMatrix):
             features = FeatureMatrix(features)
-        try:
-            self._phi, self._dphi = _SATURATORS[concave]
-        except (KeyError, TypeError):  # TypeError: an unhashable value
-            raise InputError(
-                f"unknown saturator {concave!r}; expected one of {sorted(_SATURATORS)}"
-            ) from None
+        self._phi, self._dphi = _saturator(concave)
         self._F = features
         self._concave = concave
         self._w = _feature_weights(weights, features.n_features)

@@ -80,9 +80,10 @@ def feature_based_eval(F: FeatureMatrix, weights, concave, X: Iterable[int]) -> 
     the array of feature masses; ``weights`` (one finite, non-negative value
     per feature) default to all ones. Empty X is worth 0.
     """
-    phi = concave if callable(concave) else _CONCAVE.get(concave)
-    if phi is None:
-        raise InputError(f"unknown concave function {concave!r}; expected one of {sorted(_CONCAVE)}")
+    try:
+        phi = concave if callable(concave) else _CONCAVE[concave]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise InputError(f"unknown concave function {concave!r}; expected one of {sorted(_CONCAVE)}") from None
     if not isinstance(F, FeatureMatrix):
         F = FeatureMatrix(F)
     mass = F.values[_indices(X, F.n_examples)].sum(axis=0)

@@ -26,6 +26,7 @@ from .matrices import (
     squared_correlation_similarity,
 )
 from .objectives import FacilityLocationObjective, FeatureBasedObjective, SubmodularObjective
+from .objectives import _saturator
 from .optimizer import (
     SelectionResult,
     _check_budget,
@@ -176,6 +177,7 @@ class FeatureBasedSelector(BaseSelector):
 
     def __init__(self, k: int, concave="sqrt", weights=None, **kwargs):
         super().__init__(k, **kwargs)
+        _saturator(concave)
         self.concave = concave
         self.weights = weights
 

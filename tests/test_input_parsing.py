@@ -87,6 +87,22 @@ class TestCsvParity:
         assert list(fast_lines) == slow_lines == lines
 
 
+    def test_crlf_split_across_prescan_chunks(self, tmp_path):
+        # A "\r\n" whose "\r" ends one prescan chunk and whose "\n" starts
+        # the next must not send the file to the per-line reader.
+        chunk = cli._PRESCAN_CHUNK
+        rows = [f"{i},{i * 0.25!r},{-i}" for i in range(2 * chunk // 12)]
+        text = "\r\n".join(rows) + "\r\n"
+        cut = text.rindex("\r\n", 0, chunk)  # move the line break found there to the boundary
+        text = text[:cut] + " " * (chunk - 1 - cut) + text[cut:]
+        assert len(text) > chunk and text[chunk - 1:chunk + 1] == "\r\n"
+        (fast, fast_lines), (slow, slow_lines) = csv_both(write(tmp_path / "in.csv", text))
+        assert isinstance(fast_lines, range)  # the numpy path took the file
+        assert same_bits(fast, slow)
+        assert same_bits(fast, np.array([[i, i * 0.25, -i] for i in range(len(rows))], dtype=np.float64))
+        assert list(fast_lines) == slow_lines == list(range(1, len(rows) + 1))
+
+
 class TestTriplesParity:
     @given(st.data(), st.sampled_from(["\n", "\r\n"]), st.booleans())
     @settings(max_examples=60, deadline=None)

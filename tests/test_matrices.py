@@ -5,7 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 from subsel import (
@@ -19,7 +20,7 @@ from subsel import (
     sparse_from_triples,
     squared_correlation_similarity,
 )
-from subsel.matrices import TRIPLE_DTYPE, _symmetrize, as_similarity
+from subsel.matrices import TRIPLE_DTYPE, _scaled_rows, as_similarity
 from instances import sparse_and_dense
 
 
@@ -128,25 +129,6 @@ class TestDenseSimilarity:
         values[0, 1] = 9.0
         assert S.to_dense()[0, 1] == 0.5
         assert not np.shares_memory(S.row(0)[1], values)
-
-
-class TestSymmetrize:
-    """The in-place block average equals the whole-array expression bit for bit."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
-    def test_equals_whole_array_expression(self, n, seed):
-        a = np.random.default_rng(seed).normal(size=(n, n))
-        expected = (a + a.T) * 0.5
-        _symmetrize(a)
-        assert np.array_equal(a.view(np.int64), expected.view(np.int64))
-
-    @pytest.mark.parametrize("n", [255, 256, 257, 513])
-    def test_block_edges(self, n):
-        a = np.random.default_rng(n).random((n, n))
-        expected = (a + a.T) * 0.5
-        _symmetrize(a)
-        assert np.array_equal(a.view(np.int64), expected.view(np.int64))
 
 
 class TestSparseSimilarity:
@@ -423,10 +405,13 @@ class TestSquaredCorrelation:
     def test_row_variance_past_the_float_range(self, scale):
         # The variance of (1, 3, 2) * 1e200 overflows and that of (1, 3, 2) *
         # 1e-200 underflows; the squared correlation with (1, 2, 4) is 3/28.
+        # 1e200 and 1e-200 are not a power of two apart, so the two rows
+        # round differently and each has its own exact value.
+        expected = {1e200: 0.10714285714285708, 1e-200: 0.10714285714285712}[scale]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             S = squared_correlation_similarity([[scale, 3.0 * scale, 2.0 * scale], [1.0, 2.0, 4.0]])
-        assert S.to_dense()[0, 1] == 0.10714285714285712
+        assert S.to_dense()[0, 1] == expected
         assert S.to_dense()[0, 1] == pytest.approx(3.0 / 28.0, rel=1e-15)
         assert S.to_dense()[1, 0] == S.to_dense()[0, 1]
 
@@ -490,6 +475,54 @@ class TestCosine:
         with pytest.raises(DegenerateInputError, match="row 2 is all-zero") as exc:
             cosine_similarity([[1.0, 2.0], [1e-200, 0.0], [0.0, 0.0]])
         assert exc.value.row == 2
+
+
+# n from 1 to 600, around 256 included; d from 2 to more than n.
+BUILD_SHAPES = [(n, d) for n in (1, 2, 255, 256, 257, 600) for d in (2, 3, 64, 300)]
+
+
+class TestSymmetricBuild:
+    """Both builders take one product of unit rows with their transpose,
+    which is symmetric bit for bit without any averaging afterwards."""
+
+    @pytest.mark.parametrize("build", [
+        squared_correlation_similarity,
+        lambda X: cosine_similarity(X, clamp_negative=True),
+    ], ids=["squared-correlation", "cosine"])
+    @pytest.mark.parametrize("n, d", BUILD_SHAPES)
+    def test_bitwise_symmetric(self, build, n, d):
+        S = build(np.random.default_rng(n * 1000 + d).normal(size=(n, d))).to_dense()
+        assert S.tobytes() == S.T.copy().tobytes()
+
+    @pytest.mark.parametrize("n, d", BUILD_SHAPES)
+    def test_cosine_equals_the_averaged_halves(self, n, d):
+        # The formula the builder used when it averaged the two halves.
+        X = np.random.default_rng(n * 1000 + d).normal(size=(n, d))
+        unit = _scaled_rows(X)
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        c = np.clip(unit @ unit.T, -1.0, 1.0)
+        expected = (c + c.T) * 0.5
+        np.fill_diagonal(expected, 1.0)
+        np.maximum(expected, 0.0, out=expected)
+        assert cosine_similarity(X, clamp_negative=True).to_dense().tobytes() == expected.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_squared_correlation_matches_corrcoef(self, data):
+        n, d = data.draw(st.integers(1, 12)), data.draw(st.integers(2, 40))
+        # Small integers give ties and repeated rows; the floats keep every
+        # variance far from the ends of the float range, where corrcoef fails.
+        values = st.one_of(
+            st.integers(-3, 3).map(float),
+            st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) >= 1e-6),
+        )
+        X = data.draw(hnp.arrays(np.float64, (n, d), elements=values))
+        assume((X.max(axis=1) > X.min(axis=1)).all())
+        # Set from eps and d: each build's squares are within about
+        # 2(d + 8) eps of the exact values, so the two differ by twice that.
+        tol = 4 * (d + 8) * np.finfo(np.float64).eps
+        expected = np.atleast_2d(np.corrcoef(X)) ** 2
+        assert np.abs(squared_correlation_similarity(X).to_dense() - expected).max() <= tol
 
 
 class TestRowScaling:

@@ -84,8 +84,9 @@ class TestDirectEvaluators:
         assert value == pytest.approx(13.0, rel=1e-12)
 
     def test_feature_based_unknown_concave(self):
-        with pytest.raises(InputError):
-            feature_based_eval(F2, None, "cube", [0])
+        for concave in ("cube", ["sqrt"]):  # ["sqrt"] is unhashable
+            with pytest.raises(InputError, match=r"^unknown concave function .*expected one of \['log', 'sqrt'\]"):
+                feature_based_eval(F2, None, concave, [0])
 
     def test_non_integer_indices_and_bad_weights_rejected(self):
         for bad in BAD_INITIAL:

@@ -142,6 +142,11 @@ class TestDataKinds:
         with pytest.raises(InputError):
             FacilityLocationSelector(1, similarity="hamming")
 
+    @pytest.mark.parametrize("concave", ["cube", ["sqrt"]], ids=["cube", "list"])
+    def test_unknown_saturator_rejected_at_construction(self, concave):
+        with pytest.raises(InputError, match=r"unknown saturator .*expected one of \['log', 'sqrt'\]"):
+            FeatureBasedSelector(1, concave=concave)
+
     def test_constructed_kinds_reject_similarity_matrix(self):
         S = SimilarityMatrix(S3)
         for kind in ("squared-correlation", "cosine"):
