@@ -49,7 +49,7 @@ import numpy as np
 from .exceptions import InputError, NegativeCosineError
 from . import objectives
 from .matrices import TRIPLE_DTYPE, SimilarityMatrix, _check_sparse_size, sparse_from_triples
-from .selector import FacilityLocationSelector, FeatureBasedSelector
+from .selector import SIMILARITY_KINDS, FacilityLocationSelector, FeatureBasedSelector
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -72,12 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, type=int, help="number of examples to select")
     p.add_argument(
         "--concave",
-        choices=["sqrt", "log"],
+        choices=sorted(objectives._SATURATORS),
         help="saturating function for feature-based selection (default sqrt)",
     )
     p.add_argument(
         "--similarity",
-        choices=["precomputed", "squared-correlation", "cosine"],
+        choices=SIMILARITY_KINDS,
         help="similarity source for facility-location selection",
     )
     p.add_argument("--input", required=True, help="input data file")

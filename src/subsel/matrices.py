@@ -275,10 +275,11 @@ def squared_correlation_similarity(data) -> SimilarityMatrix:
     """Pairwise squared Pearson correlations of the rows of ``data``.
 
     Output is bitwise symmetric with entries in [0, 1] and unit diagonal. Rows need
-    at least two coordinates and must not be constant (a zero-variance row
-    makes the correlation undefined). A single row gives ``[[1.0]]``. Rows
-    are first scaled by powers of two (see :func:`_scaled_rows`), which
-    changes no bit of the result, so rows of any finite magnitude work.
+    at least three coordinates (with two, every squared correlation is 1) and
+    must not be constant (a zero-variance row makes the correlation
+    undefined). A single row gives ``[[1.0]]``. Rows are first scaled by
+    powers of two (see :func:`_scaled_rows`), which changes no bit of the
+    result, so rows of any finite magnitude work.
 
     Rows are centred on their means before the one product of unit rows
     (see the module docstring), whose array is squared and clamped in place
@@ -286,10 +287,9 @@ def squared_correlation_similarity(data) -> SimilarityMatrix:
     at about one n x n float64 array.
     """
     arr = _feature_values(data, "input matrix")
-    if arr.shape[1] < 2:
-        raise InputError(
-            f"squared-correlation similarity needs at least 2 features per row, got {arr.shape[1]}"
-        )
+    if arr.shape[1] < 3:
+        raise InputError(f"squared-correlation similarity needs at least 3 features per row "
+                         f"(with 2, every squared correlation is 1), got {arr.shape[1]}")
     # Compared exactly: the variance of a constant row can keep rounding
     # residue (np.var([0.1, 0.1, 0.1]) is 1.9e-34), which would pass as a
     # tiny correlation.

@@ -146,8 +146,8 @@ class SubmodularObjective(ABC):
     def upper_bounds(self, state: ObjectiveState) -> np.ndarray | None:
         """``None``, or one float per candidate at or above the float that
         ``gain(state, v)`` would return, rounding included. Entries of
-        selected candidates are ignored. The optimizer calls it once per
-        lazy step, after the last ``update``."""
+        selected candidates are ignored; -inf for any other is refused. The
+        optimizer calls it once per lazy step, after the last ``update``."""
         return None
 
 

@@ -1,13 +1,14 @@
 """Greedy maximization of a submodular objective under a cardinality budget.
 
 One loop serves naive, lazy and hybrid greedy, and all three select the
-same indices with bit-identical gains. The queue is one array: ``bound[v]``
-is an upper bound on candidate v's gain, or -inf once v is selected. Bounds
-from earlier steps stay valid because marginal gains only shrink as the
-selection grows.
+same indices with bit-identical gains. Each pass takes one index, the next
+``initial`` one or a greedy pick, and records it in one place. The queue is
+one array: ``bound[v]`` is an upper bound on candidate v's gain, or -inf
+once v is selected. Bounds from earlier steps stay valid because marginal
+gains only shrink as the selection grows.
 
-Every step is one routine, :func:`_lazy_pick`: it visits candidates in
-order of their bounds at the start of the step (largest first, ties by
+Every greedy step is one routine, :func:`_lazy_pick`: it visits candidates
+in order of their bounds at the start of the step (largest first, ties by
 smallest index), writing each fresh gain into ``bound``, until the next
 bound is below the best fresh gain, or equal to it with a larger index. No
 candidate left can then beat that gain: it is naive greedy's choice. A lazy
@@ -182,13 +183,15 @@ def hybrid_maximize(
     ``max(naive_rounds, 1)`` greedy steps are sweep steps (naive greedy) and
     lazy steps finish the budget. The outcome is identical for every choice
     of ``naive_rounds``; it only trades time. ``naive_rounds=0`` is pure
-    lazy, ``naive_rounds >= k`` pure naive.
+    lazy, ``naive_rounds >= k`` pure naive. One loop body records every
+    selection, ``initial`` or greedy.
 
     Raises InputError for a ``k``, ``naive_rounds`` or ``initial`` index
-    that is not an integer in range, for a gain that is NaN or infinite and
-    for ``upper_bounds`` that are not n floats; IndexError for an
-    ``initial`` index that is not an example. Either error about an
-    ``initial`` index has its position there as ``row``.
+    that is not an integer in range, for a gain that is NaN or infinite,
+    for ``upper_bounds`` that are not n floats or are -inf for a remaining
+    candidate; IndexError for an ``initial`` index that is not an example.
+    Either error about an ``initial`` index has its position there as
+    ``row``.
 
     When ``progress`` is given it receives one ProgressRecord per selection.
     """
@@ -210,38 +213,34 @@ def hybrid_maximize(
     gains: list[float] = []
     evaluations = 0
     cumulative = 0.0
-
-    def record(index: int, gain: float):
-        nonlocal cumulative
+    # bound[v]: an upper bound on v's gain, or -inf once v is selected.
+    bound = np.full(n, np.inf)
+    spent = n  # so the first greedy step's prefix is every candidate
+    for step in range(target):
+        if step < len(initial):
+            index = initial[step]
+            gain, count = _gain(objective, state, index), 1
+        else:
+            if step < len(initial) + max(naive_rounds, 1):
+                bound[bound > -np.inf] = np.inf  # a sweep: every bound forgotten
+            elif (caps := objective.upper_bounds(state)) is not None:
+                if np.shape(caps) != (n,):
+                    raise InputError(f"upper_bounds returned shape {np.shape(caps)}; "
+                                     f"expected ({n},), one float per example")
+                if (hidden := np.equal(caps, -np.inf) & (bound > -np.inf)).any():
+                    raise InputError(f"upper_bounds gave -inf for candidate {np.argmax(hidden)} "
+                                     f"at step {step}, which is not selected")
+                np.fmin(bound, caps, out=bound)  # a NaN cap keeps the stale bound
+            index, gain, spent = _lazy_pick(objective, state, bound, 2 * spent + 2)
+            count = spent
+        bound[index] = -np.inf
+        objective.update(state, index)
+        evaluations += count
         ranking.append(index)
         gains.append(gain)
         cumulative += gain
         if progress is not None:
-            progress(ProgressRecord(len(ranking) - 1, index, gain, cumulative, evaluations,
+            progress(ProgressRecord(step, index, gain, cumulative, evaluations,
                                     time.perf_counter() - start))
-
-    # bound[v]: an upper bound on v's gain, or -inf once v is selected.
-    bound = np.full(n, np.inf)
-    for v in initial:
-        g = _gain(objective, state, v)
-        evaluations += 1
-        objective.update(state, v)
-        bound[v] = -np.inf
-        record(v, g)
-
-    spent = n  # so the first step's prefix is every candidate
-    while len(ranking) < target:
-        if len(ranking) < len(initial) + max(naive_rounds, 1):
-            bound[bound > -np.inf] = np.inf  # a sweep: every bound forgotten
-        elif (caps := objective.upper_bounds(state)) is not None:
-            if np.shape(caps) != (n,):
-                raise InputError(f"upper_bounds returned shape {np.shape(caps)}; "
-                                 f"expected ({n},), one float per example")
-            np.fmin(bound, caps, out=bound)  # a NaN cap keeps the stale bound
-        index, gain, spent = _lazy_pick(objective, state, bound, 2 * spent + 2)
-        bound[index] = -np.inf
-        objective.update(state, index)
-        evaluations += spent
-        record(index, gain)
 
     return SelectionResult(tuple(ranking), tuple(gains), evaluations)

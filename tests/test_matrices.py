@@ -379,7 +379,7 @@ class TestSquaredCorrelation:
 
     def test_zero_variance_row_rejected(self):
         with pytest.raises(DegenerateInputError) as exc:
-            squared_correlation_similarity([[1.0, 2.0], [5.0, 5.0]])
+            squared_correlation_similarity([[1.0, 2.0, 4.0], [5.0, 5.0, 5.0]])
         assert exc.value.row == 1
 
     def test_constant_row_with_an_inexact_mean_rejected(self):
@@ -392,13 +392,18 @@ class TestSquaredCorrelation:
         with pytest.raises(InputError):
             squared_correlation_similarity([[1.0], [2.0]])
 
+    def test_two_features_rejected(self):
+        # Two centred coordinates are ±(t, -t): every squared correlation is 1.
+        with pytest.raises(InputError, match="at least 3 features per row .* got 2"):
+            squared_correlation_similarity([[1.0, 2.0], [3.0, 7.0], [5.0, -1.0]])
+
     def test_accepts_feature_matrix(self):
         F = FeatureMatrix([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0]])
         S = squared_correlation_similarity(F)
         assert S.to_dense()[0, 1] == pytest.approx(27.0 / 28.0, rel=1e-12)
 
     def test_single_row_gives_unit_matrix(self):
-        S = squared_correlation_similarity([[1.0, 2.0]])
+        S = squared_correlation_similarity([[1.0, 2.0, 4.0]])
         assert S.to_dense().tolist() == [[1.0]]
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
@@ -491,7 +496,12 @@ class TestSymmetricBuild:
     ], ids=["squared-correlation", "cosine"])
     @pytest.mark.parametrize("n, d", BUILD_SHAPES)
     def test_bitwise_symmetric(self, build, n, d):
-        S = build(np.random.default_rng(n * 1000 + d).normal(size=(n, d))).to_dense()
+        X = np.random.default_rng(n * 1000 + d).normal(size=(n, d))
+        if build is squared_correlation_similarity and d == 2:
+            with pytest.raises(InputError, match="at least 3 features per row"):
+                build(X)
+            return
+        S = build(X).to_dense()
         assert S.tobytes() == S.T.copy().tobytes()
 
     @pytest.mark.parametrize("n, d", BUILD_SHAPES)
@@ -509,7 +519,7 @@ class TestSymmetricBuild:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_squared_correlation_matches_corrcoef(self, data):
-        n, d = data.draw(st.integers(1, 12)), data.draw(st.integers(2, 40))
+        n, d = data.draw(st.integers(1, 12)), data.draw(st.integers(3, 40))
         # Small integers give ties and repeated rows; the floats keep every
         # variance far from the ends of the float range, where corrcoef fails.
         values = st.one_of(
@@ -528,15 +538,15 @@ class TestSymmetricBuild:
 class TestRowScaling:
     """A row scaled by a power of two has the same similarities, bit for bit."""
 
-    @pytest.mark.parametrize("build", [
-        squared_correlation_similarity,
-        lambda X: cosine_similarity(X, clamp_negative=True),
+    @pytest.mark.parametrize("build, least_d", [
+        (squared_correlation_similarity, 3),
+        (lambda X: cosine_similarity(X, clamp_negative=True), 2),
     ], ids=["squared-correlation", "cosine"])
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_power_of_two_row_scaling_keeps_the_bits(self, build, seed):
+    def test_power_of_two_row_scaling_keeps_the_bits(self, build, least_d, seed):
         rng = np.random.default_rng(seed)
-        n, d = (int(v) for v in rng.integers(2, 7, size=2))
+        n, d = (int(v) for v in rng.integers((2, least_d), 7))
         # Magnitudes in [0.5, 4) times 2**e with |e| <= 1000 stay normal floats.
         X = rng.uniform(0.5, 4.0, size=(n, d)) * rng.choice([-1.0, 1.0], size=(n, d))
         exponents = rng.integers(-1000, 1001, size=(n, 1))

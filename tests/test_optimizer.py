@@ -216,6 +216,44 @@ class TestUpperBoundsShape:
         assert len(hybrid_maximize(obj, 3, naive_rounds=3)) == 3
 
 
+class _NegInfBounds(FeatureBasedObjective):
+    """The feature-based objective with -inf bounds for the candidates ``hidden(state)``."""
+
+    def __init__(self, X, hidden):
+        super().__init__(X)
+        self.hidden = hidden
+
+    def upper_bounds(self, state):
+        caps = super().upper_bounds(state).copy()
+        caps[self.hidden(state)] = -np.inf
+        return caps
+
+
+class TestUpperBoundsNegInf:
+    """-inf is the queue's mark of a selected candidate; a bound cannot forge it."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("k", [5, 8])
+    def test_minus_inf_for_a_remaining_candidate_is_refused(self, seed, k):
+        X = rand_features(np.random.default_rng(seed), 8, 4)
+        last = hybrid_maximize(FeatureBasedObjective(X), 8).ranking[-1]
+        obj = _NegInfBounds(X, lambda state: [last])
+        with pytest.raises(InputError, match=re.escape(
+                f"upper_bounds gave -inf for candidate {last} at step 1, which is not selected")):
+            hybrid_maximize(obj, k)
+        # Sweep steps never ask for bounds.
+        assert len(hybrid_maximize(obj, k, naive_rounds=k)) == k
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("k", [5, 8])
+    def test_minus_inf_for_selected_candidates_is_ignored(self, seed, k):
+        X = rand_features(np.random.default_rng(seed), 8, 4)
+        plain = hybrid_maximize(FeatureBasedObjective(X), k, initial=[seed])
+        marked = hybrid_maximize(_NegInfBounds(X, lambda state: state.selected), k,
+                                 initial=[seed])
+        assert marked == plain
+
+
 class TestFirstLazyStep:
     """Pure lazy's first step is one naive sweep; the queue is built from it."""
 
@@ -360,7 +398,10 @@ class TestAgainstNaiveReference:
             lambda: FacilityLocationObjective(sparse),
         )
         for factory in factories:
-            for initial in ([], [int(rng.integers(n))]):
+            # No initial, one index, and up to three handing over to sweeps
+            # and then lazy steps.
+            several = [int(i) for i in rng.choice(n, size=min(3, k), replace=False)]
+            for initial in ([], [int(rng.integers(n))], several):
                 reference = naive_greedy(factory(), k, initial)
                 for rounds in (0, 1, 2, k):
                     result = hybrid_maximize(factory(), k, naive_rounds=rounds, initial=initial)

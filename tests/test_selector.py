@@ -126,7 +126,7 @@ class TestFitTransform:
 class TestDataKinds:
     @pytest.mark.parametrize("similarity", ["squared-correlation", "cosine"])
     def test_single_row_selects_it(self, similarity):
-        sel = FacilityLocationSelector(1, similarity=similarity).fit([[1.0, 2.0]])
+        sel = FacilityLocationSelector(1, similarity=similarity).fit([[1.0, 2.0, 4.0]])
         assert sel.ranking_ == (0,)
         assert sel.gains_ == (1.0,)
 
