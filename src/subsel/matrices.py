@@ -10,11 +10,13 @@ Two containers:
 Entry orientation: ``S[i][j]`` is read as "similarity of candidate i to
 covered element j". Asymmetric dense matrices are accepted.
 
-Both similarity builders divide rows by their norms and then take one
-product ``unit @ unit.T``, so the result is symmetric bit for bit: numpy
-computes a C-contiguous array times its own transpose with BLAS syrk, which
-computes one triangle and mirrors it, and its loop without BLAS adds the
-same products in the same order for (i, j) and (j, i).
+Both similarity builders divide rows by their norms and fill the product
+``unit @ unit.T`` tile by tile (see :func:`_unit_gram`): each tile on or
+above the diagonal is one BLAS product, finished elementwise and copied into
+its mirror while it is still in cache, so the result is symmetric bit for
+bit by construction. One whole-matrix product cost more: numpy mirrors its
+triangle with a strided loop that took about twice the BLAS time at
+n = 2,000, and each finishing step was another pass over the n x n array.
 
 Both containers are immutable after construction and safe to share across
 concurrent readers.
@@ -82,24 +84,32 @@ def _kind(value: float) -> str:
     return "negative" if value < 0.0 else "non-finite"
 
 
+# Bytes of rows _check_values reduces at a time: still in cache for the second reduction.
+_CHECK_CHUNK_BYTES = 256 * 1024
+
+
 def _check_values(arr: np.ndarray, what: str) -> None:
     """ConstraintViolationError at the first entry (row-major) of the 2-D
     ``arr`` that is not finite and >= 0; its ``position`` is (row, column).
 
     ``min`` is NaN when any entry is, so ``min >= 0`` rules out NaN and
     negatives; +inf is then the only non-finite value left, which ``max``
-    finds. Two reductions cost about what one ``(arr >= 0).all()`` did.
+    finds. Both reduce one chunk of rows at a time, in order, so the array
+    is read from memory once and the first bad chunk holds the first bad entry.
     """
-    if arr.min() >= 0.0 and arr.max() < np.inf:
-        return
-    ok = (arr >= 0.0) & (arr < np.inf)
-    r, c = (int(i) for i in np.unravel_index(int(np.argmin(ok)), arr.shape))
-    value = float(arr[r, c])
-    raise ConstraintViolationError(
-        f"{_kind(value)} {what} {value} at row {r}, column {c} "
-        f"(every {what} must be finite and non-negative)",
-        position=(r, c),
-    )
+    step = max(1, _CHECK_CHUNK_BYTES // (arr.shape[1] * arr.itemsize))
+    for start in range(0, arr.shape[0], step):
+        chunk = arr[start:start + step]
+        if chunk.min() >= 0.0 and chunk.max() < np.inf:
+            continue
+        ok = (chunk >= 0.0) & (chunk < np.inf)
+        r, c = (int(i) for i in np.unravel_index(int(np.argmin(ok)), chunk.shape))
+        value = float(chunk[r, c])
+        raise ConstraintViolationError(
+            f"{_kind(value)} {what} {value} at row {start + r}, column {c} "
+            f"(every {what} must be finite and non-negative)",
+            position=(start + r, c),
+        )
 
 
 class FeatureMatrix:
@@ -271,6 +281,38 @@ def _scaled_rows(arr: np.ndarray) -> np.ndarray:
     return np.ldexp(arr, -exponent[:, None])
 
 
+# Side of _unit_gram's tiles: 512 KiB of float64, which stays in a 2 MiB L2
+# cache. Of sides 96 to 384 it was fastest, or within noise, for n = 1,000 to 8,000.
+_TILE = 256
+
+
+def _unit_gram(unit: np.ndarray, finish) -> np.ndarray:
+    """``unit @ unit.T`` with the elementwise ``finish`` applied in place and a
+    unit diagonal, built one upper-triangle tile at a time (one ``np.matmul``
+    each) and mirrored tile by tile. Up to ``_TILE`` rows it is the single
+    product ``np.matmul(unit, unit.T)``.
+    """
+    n = len(unit)
+    out = np.empty((n, n))
+    for i in range(0, n, _TILE):
+        rows = unit[i:i + _TILE]
+        for j in range(i, n, _TILE):
+            tile = out[i:i + _TILE, j:j + _TILE]
+            np.matmul(rows, unit[j:j + _TILE].T, out=tile)
+            finish(tile)
+            if i == j:
+                # Self-similarity is exactly 1 by definition; avoid last-ulp residue.
+                np.fill_diagonal(tile, 1.0)
+            else:
+                out[j:j + _TILE, i:i + _TILE] = tile.T
+    return out
+
+
+def _square_at_most_one(tile: np.ndarray) -> None:
+    np.square(tile, out=tile)
+    np.minimum(tile, 1.0, out=tile)
+
+
 def squared_correlation_similarity(data) -> SimilarityMatrix:
     """Pairwise squared Pearson correlations of the rows of ``data``.
 
@@ -281,15 +323,15 @@ def squared_correlation_similarity(data) -> SimilarityMatrix:
     powers of two (see :func:`_scaled_rows`), which changes no bit of the
     result, so rows of any finite magnitude work.
 
-    Rows are centred on their means before the one product of unit rows
-    (see the module docstring), whose array is squared and clamped in place
-    and adopted by the SimilarityMatrix without a copy, so building it peaks
-    at about one n x n float64 array.
+    Rows are centred and divided by their norms; the product of these unit
+    rows is built tile by tile and squared and clamped to 1 while in cache
+    (see the module docstring). The SimilarityMatrix adopts that one n x n
+    array without a copy.
     """
     arr = _feature_values(data, "input matrix")
     if arr.shape[1] < 3:
         raise InputError(f"squared-correlation similarity needs at least 3 features per row "
-                         f"(with 2, every squared correlation is 1), got {arr.shape[1]}")
+                         f"(with 2, every squared correlation is 1), got {arr.shape[1]}", row=0)
     # Compared exactly: the variance of a constant row can keep rounding
     # residue (np.var([0.1, 0.1, 0.1]) is 1.9e-34), which would pass as a
     # tiny correlation.
@@ -305,47 +347,50 @@ def squared_correlation_similarity(data) -> SimilarityMatrix:
     # einsum sums the squares without an n x d temporary, which at 2,000 x 64
     # cost ~1 MB of peak RSS through np.linalg.norm.
     unit /= np.sqrt(np.einsum("ij,ij->i", unit, unit))[:, None]
-    sim = unit @ unit.T
-    np.square(sim, out=sim)
-    np.minimum(sim, 1.0, out=sim)
-    # Self-correlation is exactly 1 by definition; avoid last-ulp residue.
-    np.fill_diagonal(sim, 1.0)
-    return SimilarityMatrix._from_owned(sim)
+    return SimilarityMatrix._from_owned(_unit_gram(unit, _square_at_most_one))
 
 
 def cosine_similarity(data, clamp_negative: bool = False) -> SimilarityMatrix:
     """Pairwise cosine similarities of the rows of ``data``.
 
-    Rows must not be all-zero. Negative cosines (possible when the input has
+    Rows need at least two coordinates (with one, every cosine is 1 or -1)
+    and must not be all-zero. Negative cosines (possible when the input has
     negative entries) violate the non-negativity invariant: by default they
     raise, because silently clamping changes the objective; pass
     ``clamp_negative=True`` to replace them with 0 instead. Rows are first
     scaled by powers of two (see :func:`_scaled_rows`), which changes no bit
     of the result, so rows of any finite magnitude work.
 
-    As for :func:`squared_correlation_similarity`, the n x n result is one
-    product of unit rows, symmetric bit for bit, computed in place in one
+    As for :func:`squared_correlation_similarity`, the product of unit rows
+    is built tile by tile, clipped (and clamped) while in cache, in one
     array that the SimilarityMatrix adopts without a copy.
     """
-    unit = _scaled_rows(_feature_values(data, "input matrix"))
+    arr = _feature_values(data, "input matrix")
+    if arr.shape[1] < 2:
+        raise InputError(f"cosine similarity needs at least 2 features per row "
+                         f"(with 1, every cosine is 1 or -1), got {arr.shape[1]}", row=0)
+    unit = _scaled_rows(arr)
     norms = np.linalg.norm(unit, axis=1)  # at least 0.5, or 0 for an all-zero row
     if not norms.all():
         row = int(np.argmin(norms))
         raise DegenerateInputError(f"row {row} is all-zero; cosine similarity is undefined", row=row)
     unit /= norms[:, None]
-    sim = unit @ unit.T
-    np.clip(sim, -1.0, 1.0, out=sim)
-    np.fill_diagonal(sim, 1.0)
-    if clamp_negative:
-        np.maximum(sim, 0.0, out=sim)
-    elif sim.min() < 0.0:
-        r, c = (int(i) for i in np.unravel_index(int(np.argmax(sim < 0.0)), sim.shape))
+
+    def clip(tile: np.ndarray) -> None:
+        np.clip(tile, -1.0, 1.0, out=tile)
+        if clamp_negative:
+            np.maximum(tile, 0.0, out=tile)
+
+    sim = _unit_gram(unit, clip)
+    try:
+        return SimilarityMatrix._from_owned(sim)
+    except ConstraintViolationError as exc:  # clipped entries are finite: a negative one
+        (r, c), value = exc.position, float(sim[exc.position])
         raise NegativeCosineError(
-            f"cosine similarity is negative ({float(sim[r, c])}) for rows {r} and {c}; "
+            f"cosine similarity is negative ({value}) for rows {r} and {c}; "
             "pass clamp_negative=True to zero negatives",
-            (r, c), float(sim[r, c]),
-        )
-    return SimilarityMatrix._from_owned(sim)
+            (r, c), value,
+        ) from None
 
 
 def _check_sparse_size(n: int) -> None:

@@ -270,7 +270,8 @@ class FeatureBasedObjective(SubmodularObjective):
         ub += slack
         ub *= 1.0 + 4 * (len(F) + 8) * eps
         if steep.any():
-            ub[(self._X[:, steep] > 0.0).any(axis=1)] = np.inf
+            # X >= 0, so a candidate holds a steep feature iff this sum is > 0.
+            ub[self._X @ steep.astype(np.float64) > 0.0] = np.inf
         return ub
 
     def update(self, state: FeatureBasedState, v: int) -> None:

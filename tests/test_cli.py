@@ -163,6 +163,22 @@ class TestFacilityLocation:
         err = capsys.readouterr().err
         assert "in.csv:2" in err and "all-zero" in err
 
+    @pytest.mark.parametrize("similarity, text, message", [
+        ("cosine", "x\n1\n2\n3\n0.5\n", "cosine similarity needs at least 2 features per row"),
+        ("squared-correlation", "x,y\n1,2\n3,7\n5,-1\n",
+         "squared-correlation similarity needs at least 3 features per row"),
+    ], ids=["cosine", "squared-correlation"])
+    def test_too_few_features_names_the_file(self, tmp_path, capsys, similarity, text, message):
+        code, out = run_cli(
+            tmp_path,
+            "--function", "facility-location", "--similarity", similarity,
+            "--k", "2", "--header",
+            input_text=text,
+        )
+        assert code == 1
+        assert f"in.csv:2: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_cosine_names_both_lines_and_no_python_keyword(self, tmp_path, capsys):
         code, out = run_cli(
             tmp_path,

@@ -1,6 +1,10 @@
 """Data containers and similarity construction."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,18 +13,20 @@ from hypothesis import assume, given, settings
 from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
+import subsel
 from subsel import (
     ConstraintViolationError,
     DegenerateInputError,
     FeatureMatrix,
     InputError,
+    NegativeCosineError,
     SimilarityMatrix,
     TripleValidationError,
     cosine_similarity,
     sparse_from_triples,
     squared_correlation_similarity,
 )
-from subsel.matrices import TRIPLE_DTYPE, _scaled_rows, as_similarity
+from subsel.matrices import _CHECK_CHUNK_BYTES, _TILE, TRIPLE_DTYPE, _scaled_rows, as_similarity
 from instances import sparse_and_dense
 
 
@@ -514,7 +520,14 @@ class TestSymmetricBuild:
         expected = (c + c.T) * 0.5
         np.fill_diagonal(expected, 1.0)
         np.maximum(expected, 0.0, out=expected)
-        assert cosine_similarity(X, clamp_negative=True).to_dense().tobytes() == expected.tobytes()
+        S = cosine_similarity(X, clamp_negative=True).to_dense()
+        if n <= _TILE:  # one tile: the same product as the whole-matrix formula
+            assert S.tobytes() == expected.tobytes()
+            return
+        # Tiles sum each dot product in their own order. Set from eps and d:
+        # a computed dot product of two unit rows is within d u = d eps / 2 of
+        # the exact one (Higham, ch. 3), so two orders differ by at most d eps.
+        assert np.abs(S - expected).max() <= d * np.finfo(np.float64).eps
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -533,6 +546,123 @@ class TestSymmetricBuild:
         tol = 4 * (d + 8) * np.finfo(np.float64).eps
         expected = np.atleast_2d(np.corrcoef(X)) ** 2
         assert np.abs(squared_correlation_similarity(X).to_dense() - expected).max() <= tol
+
+
+def _whole_matrix_squared_correlation(X):
+    """squared_correlation_similarity written as one whole-matrix product."""
+    unit = _scaled_rows(X)
+    unit -= unit.mean(axis=1, keepdims=True)
+    unit /= np.sqrt(np.einsum("ij,ij->i", unit, unit))[:, None]
+    sim = np.minimum(np.square(unit @ unit.T), 1.0)
+    np.fill_diagonal(sim, 1.0)
+    return sim
+
+
+TILE_SIZES = [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1, 3 * _TILE + 5]
+BUILDERS = {
+    "squared-correlation": squared_correlation_similarity,
+    "cosine": cosine_similarity,
+    "cosine-clamped": lambda X: cosine_similarity(X, clamp_negative=True),
+}
+
+
+class TestTiledBuild:
+    """Both builders fill the upper triangle tile by tile and mirror each tile."""
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    @pytest.mark.parametrize("n", TILE_SIZES)
+    @pytest.mark.parametrize("d", [3, 64])
+    def test_bitwise_symmetric_with_a_unit_diagonal(self, name, n, d):
+        rng = np.random.default_rng(n * 100 + d)
+        # Non-negative features keep every cosine >= 0, so the unclamped build succeeds.
+        X = rng.uniform(0.0, 1.0, size=(n, d)) if name == "cosine" else rng.normal(size=(n, d))
+        S = BUILDERS[name](X).to_dense()
+        assert S.tobytes() == S.T.copy().tobytes()
+        assert (np.diagonal(S) == 1.0).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 17, _TILE - 1, _TILE])
+    def test_one_tile_gives_the_bytes_of_the_whole_matrix_formula(self, n):
+        # Cosine's counterpart is TestSymmetricBuild::test_cosine_equals_the_averaged_halves.
+        X = np.random.default_rng(n).normal(size=(n, 40))
+        S = squared_correlation_similarity(X).to_dense()
+        assert S.tobytes() == _whole_matrix_squared_correlation(X).tobytes()
+
+    def test_negative_cosine_in_a_later_tile_names_the_row_major_first(self):
+        n = 3 * _TILE + 5
+        rng = np.random.default_rng(5)
+        # Rows near (0, 0, 1) have positive cosines with each other and with
+        # (1, -1, 1) and (-1, 1, 1), whose cosines with each other are negative.
+        X = np.column_stack([rng.uniform(0.0, 0.1, size=(n, 2)), np.ones(n)])
+        p, q, r = _TILE + 2, 2 * _TILE + 1, 3 * _TILE
+        X[p] = [1.0, -1.0, 1.0]
+        X[q] = [-1.0, 1.0, 1.0]
+        X[r] = [-1.0, 1.0, 1.0]
+        with pytest.raises(NegativeCosineError) as exc:
+            cosine_similarity(X)
+        assert exc.value.position == (p, q)
+        assert exc.value.value == pytest.approx(-1.0 / 3.0, abs=1e-15)
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        script = (
+            "import hashlib, numpy as np, subsel\n"
+            f"X = np.random.default_rng(3).normal(size=({3 * _TILE + 5}, 64))\n"
+            "for S in (subsel.squared_correlation_similarity(X),\n"
+            "          subsel.cosine_similarity(X, clamp_negative=True)):\n"
+            "    print(hashlib.sha256(S.to_dense().tobytes()).hexdigest())\n"
+        )
+        src = str(Path(subsel.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120, check=True)
+            digests.append(done.stdout.split())
+        assert len(digests[0]) == 2 and digests[0] == digests[1]
+
+
+def _chunk_rows(n_cols):
+    """Rows per chunk of the value check for float64 rows of ``n_cols`` entries."""
+    return _CHECK_CHUNK_BYTES // (8 * n_cols)
+
+
+class TestChunkedValueCheck:
+    """The value check reads rows in chunks and still names the first bad entry."""
+
+    # (n, width) for each container: several chunks and a short last one.
+    SHAPES = {"feature": (3 * _chunk_rows(4096) + 5, 4096), "similarity": (500, 500)}
+
+    @staticmethod
+    def _positions(n, width):
+        step = _chunk_rows(width)
+        last = (n - 1) // step * step
+        return [(step - 1, width - 1), (step, 0), (2 * step - 1, width // 2),
+                (last, 0), (n - 1, width - 1)]
+
+    @pytest.mark.parametrize("container", ["feature", "similarity"])
+    @pytest.mark.parametrize("bad, kind", [(np.nan, "non-finite"), (np.inf, "non-finite"),
+                                           (-0.5, "negative")])
+    def test_first_bad_entry_at_chunk_boundaries(self, container, bad, kind):
+        n, width = self.SHAPES[container]
+        assert n > 3 * _chunk_rows(width) and n % _chunk_rows(width) != 0
+        build = FeatureMatrix if container == "feature" else SimilarityMatrix
+        for r, c in self._positions(n, width):
+            values = np.full((n, width), 0.25)
+            values[r, c] = bad
+            # Bad entries later in row-major order must not be the one named.
+            values[r, c + 1:] = -1.0
+            values[r + 1:, :] = np.inf
+            with pytest.raises(ConstraintViolationError, match=kind) as exc:
+                build(values)
+            assert exc.value.position == (r, c)
+
+    def test_a_row_wider_than_a_chunk(self):
+        width = _CHECK_CHUNK_BYTES // 8 + 3
+        values = np.ones((3, width))
+        values[2, width - 1] = np.nan
+        with pytest.raises(ConstraintViolationError) as exc:
+            FeatureMatrix(values)
+        assert exc.value.position == (2, width - 1)
 
 
 class TestRowScaling:

@@ -18,6 +18,7 @@ from subsel import (
     SimilarityMatrix,
     facility_location_eval,
     feature_based_eval,
+    hybrid_maximize,
     sparse_from_triples,
 )
 from instances import (
@@ -340,6 +341,31 @@ class TestFeatureBasedUpperBounds:
         rng = np.random.default_rng(71)
         X = np.vstack([[1e8], rng.uniform(1e-9, 1e-7, size=(400, 1))])
         _bounds_hold_at_every_step(FeatureBasedObjective(X, concave), [0, 1])
+
+    @pytest.mark.parametrize("concave", ["sqrt", "log"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_infinite_bounds_fall_exactly_on_rows_holding_an_uncovered_feature(self, concave, seed):
+        rng = np.random.default_rng(seed)
+        n, d = 80, 20
+        X = rand_features(rng, n, d)
+        X[rng.random(size=(n, d)) < 0.8] = 0.0
+        w = weights_with_zero(rng, d)
+        steps = []
+
+        class Checked(FeatureBasedObjective):
+            def upper_bounds(self, state):
+                bounds = super().upper_bounds(state)
+                # sqrt's slope is infinite where F_d = 0 and w_d > 0; log1p's never is.
+                steep = (state.feature_sum == 0.0) & (w > 0.0) & (concave == "sqrt")
+                assert (np.isinf(bounds) == (X[:, steep] > 0.0).any(axis=1)).all()
+                steps.append(steep.any())
+                return bounds
+
+        lazy = hybrid_maximize(Checked(X, concave, weights=w), 30)
+        naive = hybrid_maximize(FeatureBasedObjective(X, concave, weights=w), 30, naive_rounds=30)
+        assert lazy.ranking == naive.ranking
+        assert np.array(lazy.gains).tobytes() == np.array(naive.gains).tobytes()
+        assert len(steps) == 29 and any(steps) == (concave == "sqrt")
 
     def test_other_objectives_have_no_bounds(self):
         for obj in (FacilityLocationObjective(S3), FunctionObjective(lambda X: 0.0, 3)):

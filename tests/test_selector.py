@@ -130,6 +130,18 @@ class TestDataKinds:
         assert sel.ranking_ == (0,)
         assert sel.gains_ == (1.0,)
 
+    @pytest.mark.parametrize("similarity, X, message", [
+        ("cosine", [[1.0], [2.0], [3.0], [0.5]], "cosine similarity needs at least 2 features"),
+        ("squared-correlation", [[1.0, 2.0], [3.0, 7.0], [5.0, -1.0]],
+         "squared-correlation similarity needs at least 3 features"),
+    ], ids=["cosine", "squared-correlation"])
+    def test_too_few_features_per_row_rejected(self, similarity, X, message):
+        # With one feature every cosine is 1 or -1; with two every squared
+        # correlation is 1. Either would rank by index with one non-zero gain.
+        with pytest.raises(InputError, match=message) as exc:
+            FacilityLocationSelector(len(X), similarity=similarity).fit(X)
+        assert exc.value.row == 0
+
     def test_precomputed_accepts_similarity_matrix(self):
         sel = FacilityLocationSelector(1).fit(SimilarityMatrix(S3))
         assert sel.ranking_ == (1,)
