@@ -39,7 +39,7 @@ from .optimizer import ProgressRecord, SelectionResult, hybrid_maximize
 from .oracle import facility_location_eval, feature_based_eval
 from .selector import BaseSelector, FacilityLocationSelector, FeatureBasedSelector
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "FeatureMatrix",

@@ -290,9 +290,9 @@ def _build_selector(args, initial: list[int] | None):
 
 
 def _located(exc: Exception, path: str, lines: Sequence[int]) -> CliError:
-    """``exc`` as a CliError, prefixed with ``path:line`` when it names a row."""
+    """``exc`` as a CliError, prefixed with ``path:line`` when it names a row, else ``path``."""
     row = getattr(exc, "row", None)
-    return CliError(str(exc) if row is None else f"{path}:{lines[row]}: {exc}")
+    return CliError(f"{path}: {exc}" if row is None else f"{path}:{lines[row]}: {exc}")
 
 
 def _write_output(path: str, result) -> None:

@@ -1,11 +1,11 @@
 """Greedy maximization of a submodular objective under a cardinality budget.
 
-One loop serves naive, lazy and hybrid greedy, and all three select the
-same indices with bit-identical gains. Each pass takes one index, the next
-``initial`` one or a greedy pick, and records it in one place. The queue is
-one array: ``bound[v]`` is an upper bound on candidate v's gain, or -inf
-once v is selected. Bounds from earlier steps stay valid because marginal
-gains only shrink as the selection grows.
+One loop runs lazy greedy, which selects the same indices with bit-identical
+gains as naive greedy (:func:`subsel.oracle.naive_greedy` is the reference).
+Each pass takes one index, the next ``initial`` one or a greedy pick, and
+records it in one place. The queue is one array: ``bound[v]`` is an upper
+bound on candidate v's gain, or -inf once v is selected. Bounds from earlier
+steps stay valid because marginal gains only shrink as the selection grows.
 
 Every greedy step is one routine, :func:`_lazy_pick`: it visits candidates
 in order of their bounds at the start of the step (largest first, ties by
@@ -16,11 +16,10 @@ step first caps its stale bounds with the objective's ``upper_bounds(state)``
 when it has them; without them it evaluates exactly the candidates a heap of
 stale bounds re-scores, with them never more.
 
-A sweep step is the same step with its bounds forgotten (all +inf), so it
+The first greedy step has no bounds yet (all +inf), so it is a sweep: it
 evaluates every remaining candidate in index order and the first maximum
-wins. The first step is always a sweep, as with no bounds yet it must
-evaluate every candidate; ``naive_rounds`` asks for more, so 0 and 1 naive
-rounds are the same run.
+wins. Every later step is a lazy step. ``naive_rounds`` is accepted and
+validated but has no effect; it will be removed.
 
 Every gain the optimizer uses comes from one ``objective.gain`` call made
 through :func:`_gain`, which refuses a NaN or infinite value: a non-finite
@@ -179,12 +178,12 @@ def hybrid_maximize(
     """Select min(k, n) examples by greedy maximization of ``objective``.
 
     ``initial`` indices are applied first, in the caller's order, with each
-    gain measured at the moment the index is applied. Then the first
-    ``max(naive_rounds, 1)`` greedy steps are sweep steps (naive greedy) and
-    lazy steps finish the budget. The outcome is identical for every choice
-    of ``naive_rounds``; it only trades time. ``naive_rounds=0`` is pure
-    lazy, ``naive_rounds >= k`` pure naive. One loop body records every
-    selection, ``initial`` or greedy.
+    gain measured at the moment the index is applied. Then the first greedy
+    step is a sweep and lazy steps finish the budget, selecting what naive
+    greedy selects. ``naive_rounds`` is validated but has no effect: a lazy
+    step makes the same choice as a sweep from fewer gain evaluations. It
+    will be removed. One loop body records every selection, ``initial`` or
+    greedy.
 
     Raises InputError for a ``k``, ``naive_rounds`` or ``initial`` index
     that is not an integer in range, for a gain that is NaN or infinite,
@@ -196,7 +195,7 @@ def hybrid_maximize(
     When ``progress`` is given it receives one ProgressRecord per selection.
     """
     start = time.perf_counter()
-    k, naive_rounds = _check_budget(k, naive_rounds)
+    k, _ = _check_budget(k, naive_rounds)
     n = objective.n_examples
     target = min(k, n)
 
@@ -221,9 +220,8 @@ def hybrid_maximize(
             index = initial[step]
             gain, count = _gain(objective, state, index), 1
         else:
-            if step < len(initial) + max(naive_rounds, 1):
-                bound[bound > -np.inf] = np.inf  # a sweep: every bound forgotten
-            elif (caps := objective.upper_bounds(state)) is not None:
+            # The first greedy step has no bounds yet (all +inf): it is a sweep.
+            if step > len(initial) and (caps := objective.upper_bounds(state)) is not None:
                 if np.shape(caps) != (n,):
                     raise InputError(f"upper_bounds returned shape {np.shape(caps)}; "
                                      f"expected ({n},), one float per example")

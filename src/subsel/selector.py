@@ -48,9 +48,9 @@ class BaseSelector:
     k : int
         Number of examples to select (capped at the dataset size).
     naive_rounds : int
-        Rounds of naive greedy to run before switching to the lazy
-        algorithm. The selection is identical for every value; the default
-        (0, pure lazy) is usually fastest.
+        Accepted and validated (an integer, at least 0) but has no effect;
+        it will be removed. For exact naive greedy use
+        :func:`subsel.oracle.naive_greedy`.
     initial : sequence of int, optional
         Indices forced into the selection first, in the given order: at most
         ``k`` distinct integers (numpy integers count, ``bool`` does not).

@@ -72,8 +72,9 @@ def test_traced_pure_lazy_feature_fit_satisfies_the_trace_checks():
 
 def test_traced_fit_with_initial_and_naive_rounds_satisfies_the_trace_checks():
     # One run enters the optimizer's loop three ways: the replay of initial
-    # indices, two sweep steps and the lazy steps after them. Each must
-    # spend exactly one gain call per counted evaluation.
+    # indices, one sweep step and the lazy steps after it. Each must spend
+    # exactly one gain call per counted evaluation. ``naive_rounds`` is still
+    # accepted, and the tracer still binds it by name, but it changes nothing.
     spans = _load_spans()
     X = np.random.default_rng(17).uniform(size=(25, 4))
     records = []
@@ -89,9 +90,9 @@ def test_traced_fit_with_initial_and_naive_rounds_satisfies_the_trace_checks():
 
     assert spans.trace_problem(tracer, wall, selector.result_.evaluations) == ""
     assert selector.ranking_[:2] == (4, 9)
-    # Two replayed indices, then sweeps over 23 and 22 candidates.
-    assert [r.evaluations for r in records[:4]] == [1, 2, 2 + 23, 2 + 23 + 22]
-    assert selector.result_.evaluations == records[-1].evaluations == 53
+    # Two replayed indices, a sweep over the 23 left, then three lazy steps.
+    assert [r.evaluations for r in records] == [1, 2, 2 + 23, 28, 31, 34]
+    assert selector.result_ == FeatureBasedSelector(6, initial=[4, 9]).fit(X).result_
 
 
 def test_traced_cli_feature_run_satisfies_the_trace_checks(tmp_path, capsys):

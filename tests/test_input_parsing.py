@@ -231,7 +231,8 @@ class TestErrorRows:
         assert ConstraintViolationError("m").row is None
         assert str(TripleValidationError("m", 5, (5, 0, -1.0))) == "m"
 
-    def test_error_without_a_row_prints_the_message_alone(self, tmp_path, capsys):
+    def test_error_without_a_row_names_the_file(self, tmp_path, capsys):
         assert run_main(tmp_path, PRECOMPUTED, "1,0.5,0.2\n0.5,1,0.3\n", "in.csv") == 1
         err = capsys.readouterr().err
-        assert err == "subsel: error: similarity matrix must be square, got shape (2, 3)\n"
+        assert err == (f"subsel: error: {tmp_path / 'in.csv'}: "
+                       "similarity matrix must be square, got shape (2, 3)\n")

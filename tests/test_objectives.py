@@ -21,6 +21,7 @@ from subsel import (
     hybrid_maximize,
     sparse_from_triples,
 )
+from subsel.oracle import naive_greedy
 from instances import (
     rand_features,
     rand_similarity,
@@ -362,7 +363,7 @@ class TestFeatureBasedUpperBounds:
                 return bounds
 
         lazy = hybrid_maximize(Checked(X, concave, weights=w), 30)
-        naive = hybrid_maximize(FeatureBasedObjective(X, concave, weights=w), 30, naive_rounds=30)
+        naive = naive_greedy(FeatureBasedObjective(X, concave, weights=w), 30)
         assert lazy.ranking == naive.ranking
         assert np.array(lazy.gains).tobytes() == np.array(naive.gains).tobytes()
         assert len(steps) == 29 and any(steps) == (concave == "sqrt")

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from subsel import (
     FacilityLocationObjective,
+    FacilityLocationSelector,
     FeatureBasedObjective,
+    FeatureBasedSelector,
     FunctionObjective,
     InputError,
     ProgressRecord,
@@ -129,10 +131,17 @@ class TestModularRuns:
         assert result.gains == (1.0, 1.0, 1.0)
 
 
-def _lazy_and_naive(objective_factory, n, k):
-    lazy = hybrid_maximize(objective_factory(), k)
-    naive = hybrid_maximize(objective_factory(), k, naive_rounds=k)
-    return lazy, naive
+def _lazy_and_naive(objective_factory, k):
+    """The optimizer's run and ``oracle.naive_greedy``'s, which has no queue."""
+    return hybrid_maximize(objective_factory(), k), naive_greedy(objective_factory(), k)
+
+
+def _one_answer(results):
+    """Every result has the same ranking and bit-identical gains."""
+    return (
+        len({r.ranking for r in results}) == 1
+        and len({np.array(r.gains).tobytes() for r in results}) == 1
+    )
 
 
 class TestLazyNaiveEquivalence:
@@ -141,45 +150,52 @@ class TestLazyNaiveEquivalence:
     def test_facility_location(self, seed):
         rng = np.random.default_rng(seed)
         S = rand_similarity(rng, 60)
-        lazy, naive = _lazy_and_naive(lambda: FacilityLocationObjective(S), 60, 12)
-        assert lazy.ranking == naive.ranking
-        assert lazy.gains == naive.gains  # same arithmetic path, so bit-equal
+        lazy, naive = _lazy_and_naive(lambda: FacilityLocationObjective(S), 12)
+        assert _one_answer([lazy, naive])  # same arithmetic path, so bit-equal
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_feature_based(self, seed):
         rng = np.random.default_rng(seed)
         F = rand_features(rng, 60, 10)
-        lazy, naive = _lazy_and_naive(lambda: FeatureBasedObjective(F), 60, 12)
-        assert lazy.ranking == naive.ranking
-        assert lazy.gains == naive.gains
+        lazy, naive = _lazy_and_naive(lambda: FeatureBasedObjective(F), 12)
+        assert _one_answer([lazy, naive])
 
 
 class TestEvaluationCounts:
     def test_naive_count_is_a_closed_form(self):
+        # Naive greedy's count is a closed form; the optimizer spends a sweep
+        # on its first greedy step and at most one sweep on each later one.
         n, k = 40, 7
         rng = np.random.default_rng(41)
         obj = FeatureBasedObjective(rand_features(rng, n, 5))
-        naive = hybrid_maximize(obj, k, naive_rounds=k)
+        naive = naive_greedy(obj, k)
         assert naive.evaluations == sum(n - i for i in range(k))
         # Each initial index costs one evaluation; the sweeps start after it.
         initial = [4, 31]
-        seeded = hybrid_maximize(obj, k, naive_rounds=k, initial=initial)
         m = len(initial)
+        seeded = naive_greedy(obj, k, initial)
         assert seeded.evaluations == m + sum(n - m - i for i in range(k - m))
+        for reference, first in ((naive, []), (seeded, initial)):
+            records = []
+            result = hybrid_maximize(obj, k, initial=first, progress=records.append)
+            assert _one_answer([result, reference])
+            assert records[len(first)].evaluations == n  # the replays, then a sweep of the rest
+            assert result.evaluations < reference.evaluations
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_lazy_never_exceeds_naive(self, seed):
         rng = np.random.default_rng(seed)
         F = rand_features(rng, 50, 8)
-        lazy, naive = _lazy_and_naive(lambda: FeatureBasedObjective(F), 50, 10)
+        lazy, naive = _lazy_and_naive(lambda: FeatureBasedObjective(F), 10)
         assert lazy.evaluations <= naive.evaluations
 
     def test_lazy_is_strictly_cheaper_on_non_uniform_gains(self):
         rng = np.random.default_rng(43)
         F = rand_features(rng, 100, 8)
-        lazy, naive = _lazy_and_naive(lambda: FeatureBasedObjective(F), 100, 10)
+        lazy, naive = _lazy_and_naive(lambda: FeatureBasedObjective(F), 10)
+        assert _one_answer([lazy, naive])
         assert lazy.evaluations < naive.evaluations
 
 
@@ -212,8 +228,9 @@ class TestUpperBoundsShape:
         with pytest.raises(InputError, match=re.escape(f"upper_bounds returned shape {shape}; "
                                                        "expected (6,)")):
             hybrid_maximize(obj, 3)
-        # Sweep steps never ask for bounds.
-        assert len(hybrid_maximize(obj, 3, naive_rounds=3)) == 3
+        # The first greedy step, a sweep, never asks for bounds.
+        assert len(hybrid_maximize(obj, 1)) == 1
+        assert len(hybrid_maximize(obj, 3, initial=[0, 1])) == 3
 
 
 class _NegInfBounds(FeatureBasedObjective):
@@ -236,13 +253,17 @@ class TestUpperBoundsNegInf:
     @pytest.mark.parametrize("k", [5, 8])
     def test_minus_inf_for_a_remaining_candidate_is_refused(self, seed, k):
         X = rand_features(np.random.default_rng(seed), 8, 4)
-        last = hybrid_maximize(FeatureBasedObjective(X), 8).ranking[-1]
+        ranking = hybrid_maximize(FeatureBasedObjective(X), 8).ranking
+        last = ranking[-1]
         obj = _NegInfBounds(X, lambda state: [last])
-        with pytest.raises(InputError, match=re.escape(
-                f"upper_bounds gave -inf for candidate {last} at step 1, which is not selected")):
-            hybrid_maximize(obj, k)
-        # Sweep steps never ask for bounds.
-        assert len(hybrid_maximize(obj, k, naive_rounds=k)) == k
+        # The first greedy step, a sweep, never asks for bounds: the error
+        # names the step after it.
+        for initial, step in (([], 1), (list(ranking[:2]), 3)):
+            with pytest.raises(InputError, match=re.escape(
+                    f"upper_bounds gave -inf for candidate {last} at step {step}, "
+                    "which is not selected")):
+                hybrid_maximize(obj, k, initial=initial)
+        assert hybrid_maximize(obj, 1) == hybrid_maximize(FeatureBasedObjective(X), 1)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("k", [5, 8])
@@ -324,19 +345,70 @@ class TestHybridKnobs:
         assert mixed.ranking == pure.ranking
 
 
+def _every_objective_kind(rng, n):
+    """Factories for feature-based selection with both saturators and weights
+    that include zero, dense and sparse facility location, and a
+    FunctionObjective with no gain bounds."""
+    F = rand_features(rng, n, 4)
+    w = weights_with_zero(rng, 4)
+    dense, sparse = sparse_and_dense(rng, n, zero_fraction=0.5)
+    costs = rng.uniform(size=n)
+    return {
+        "feature-sqrt": lambda: FeatureBasedObjective(F, "sqrt", weights=w),
+        "feature-log": lambda: FeatureBasedObjective(F, "log", weights=w),
+        "facility-dense": lambda: FacilityLocationObjective(dense),
+        "facility-sparse": lambda: FacilityLocationObjective(sparse),
+        "function": lambda: FunctionObjective(lambda X: math.sqrt(sum(costs[i] for i in X)), n),
+    }
+
+
+class TestNaiveRoundsInert:
+    """``naive_rounds`` is validated but has no effect."""
+
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from(["feature-sqrt", "feature-log", "facility-dense",
+                            "facility-sparse", "function"]),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_every_setting_repeats_the_run_without_it(self, seed, kind, seeded):
+        # Same ranking, gain bytes and evaluations, and the same progress
+        # records but for their seconds.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 25))
+        k = int(rng.integers(1, n + 2))
+        factory = _every_objective_kind(rng, n)[kind]
+        size = int(rng.integers(1, min(3, k) + 1)) if seeded else 0
+        initial = [int(i) for i in rng.choice(n, size=min(size, n), replace=False)]
+
+        def run(rounds):
+            records = []
+            result = hybrid_maximize(factory(), k, naive_rounds=rounds, initial=initial,
+                                     progress=records.append)
+            return (result, np.array(result.gains).tobytes(),
+                    [r._replace(seconds=0.0) for r in records])
+
+        plain = run(0)
+        assert len(plain[2]) == min(k, n)
+        for rounds in (1, 2, k, k + 5):
+            assert run(rounds) == plain
+
+    @pytest.mark.parametrize("rounds", BAD_NAIVE_ROUNDS)
+    def test_bad_values_are_refused_alike_everywhere(self, rounds):
+        messages = set()
+        for call in (lambda: hybrid_maximize(modular_objective([1.0]), 1, naive_rounds=rounds),
+                     lambda: FeatureBasedSelector(1, naive_rounds=rounds),
+                     lambda: FacilityLocationSelector(1, naive_rounds=rounds)):
+            with pytest.raises(InputError, match="^naive_rounds must") as exc:
+                call()
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+
+
 def _tied_rows(rng, n, width, prototypes=4, high=3):
     """``n`` rows of small integers drawn from a few prototype rows, so rows
     repeat and many gains tie exactly."""
     protos = rng.integers(0, high + 1, size=(prototypes, width))
     return protos[rng.integers(0, prototypes, size=n)].astype(np.float64)
-
-
-def _one_answer(results):
-    """Every result has the same ranking and bit-identical gains."""
-    return (
-        len({r.ranking for r in results}) == 1
-        and len({np.array(r.gains).tobytes() for r in results}) == 1
-    )
 
 
 class TestTieHeavyInvariance:
@@ -351,7 +423,7 @@ class TestTieHeavyInvariance:
             hybrid_maximize(FeatureBasedObjective(F), k, naive_rounds=rounds)
             for rounds in (0, 1, k)
         ]
-        assert _one_answer(results)
+        assert _one_answer([*results, naive_greedy(FeatureBasedObjective(F), k)])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -369,7 +441,7 @@ class TestTieHeavyInvariance:
             for matrix in (dense, sparse)
             for rounds in (0, 1, k)
         ]
-        assert _one_answer(results)
+        assert _one_answer([*results, naive_greedy(FacilityLocationObjective(dense), k)])
 
 
 class TestAgainstNaiveReference:
@@ -398,17 +470,14 @@ class TestAgainstNaiveReference:
             lambda: FacilityLocationObjective(sparse),
         )
         for factory in factories:
-            # No initial, one index, and up to three handing over to sweeps
+            # No initial, one index, and up to three handing over to a sweep
             # and then lazy steps.
             several = [int(i) for i in rng.choice(n, size=min(3, k), replace=False)]
             for initial in ([], [int(rng.integers(n))], several):
                 reference = naive_greedy(factory(), k, initial)
-                for rounds in (0, 1, 2, k):
-                    result = hybrid_maximize(factory(), k, naive_rounds=rounds, initial=initial)
-                    assert result.ranking == reference.ranking
-                    assert np.array(result.gains).tobytes() == np.array(reference.gains).tobytes()
-                    if rounds == k:
-                        assert result.evaluations == reference.evaluations
+                result = hybrid_maximize(factory(), k, initial=initial)
+                assert _one_answer([result, reference])
+                assert result.evaluations <= reference.evaluations
 
 
 @pytest.mark.xfail(strict=True, reason="a gain at rounding level can rise as the selection "
