@@ -133,7 +133,7 @@ def _records(path: str, skip: int = 0) -> Iterator[tuple[int, str]]:
     with _opened(path) as fh:
         data = fh.read()
     try:
-        lines = data.decode("utf-8").splitlines()
+        lines = data.decode("utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: cannot read input (not UTF-8 text: {exc})") from None
     for no, line in enumerate(lines[skip:], start=skip + 1):

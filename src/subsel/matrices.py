@@ -10,6 +10,10 @@ Two containers:
 Entry orientation: ``S[i][j]`` is read as "similarity of candidate i to
 covered element j". Asymmetric dense matrices are accepted.
 
+Each input has one intake: both dense containers share one copy-or-adopt
+pair (:class:`_Owned`), and the similarity builders' input check is the
+scaling pass they start with (:func:`_scaled_rows`).
+
 Both similarity builders divide rows by their norms and fill the product
 ``unit @ unit.T`` tile by tile (see :func:`_unit_gram`): each tile on or
 above the diagonal is one BLAS product, finished elementwise and copied into
@@ -112,7 +116,24 @@ def _check_values(arr: np.ndarray, what: str) -> None:
         )
 
 
-class FeatureMatrix:
+class _Owned:
+    """The dense containers' intake: ``Cls(values)`` copies ``values``, and
+    ``Cls._from_owned(arr)`` adopts a 2-D float64 array the library made and
+    nobody else holds. Either way the subclass's ``_adopt`` checks the array,
+    makes it read-only in place and keeps it; ``_what`` names it in errors.
+    """
+
+    def __init__(self, values):
+        self._adopt(_as_2d_float(values, self._what))
+
+    @classmethod
+    def _from_owned(cls, arr: np.ndarray):
+        matrix = cls.__new__(cls)
+        matrix._adopt(arr)
+        return matrix
+
+
+class FeatureMatrix(_Owned):
     """Dense n x D matrix of non-negative feature values.
 
     Rows are examples, columns are features. Every entry must be finite and
@@ -126,19 +147,7 @@ class FeatureMatrix:
     aliased; the matrix holds that one copy.
     """
 
-    def __init__(self, values):
-        self._adopt(_as_2d_float(values, "feature matrix"))
-
-    @classmethod
-    def _from_owned(cls, arr: np.ndarray) -> "FeatureMatrix":
-        """Check a 2-D float64 array and wrap it without copying.
-
-        For arrays the library made and nobody else holds: ``arr`` is made
-        read-only in place and becomes the matrix's storage.
-        """
-        matrix = cls.__new__(cls)
-        matrix._adopt(arr)
-        return matrix
+    _what = "feature matrix"
 
     def _adopt(self, arr: np.ndarray) -> None:
         _check_values(arr, "feature value")
@@ -170,7 +179,7 @@ class FeatureMatrix:
         return f"FeatureMatrix(n_examples={self.n_examples}, n_features={self.n_features})"
 
 
-class SimilarityMatrix:
+class SimilarityMatrix(_Owned):
     """Square n x n table of non-negative similarities, dense or sparse.
 
     ``SimilarityMatrix(values)`` copies a dense square array and checks that
@@ -180,16 +189,7 @@ class SimilarityMatrix:
     stored are zero.
     """
 
-    def __init__(self, values):
-        self._adopt(_as_2d_float(values, "similarity matrix"))
-
-    @classmethod
-    def _from_owned(cls, arr: np.ndarray) -> "SimilarityMatrix":
-        """Check a square 2-D float64 array and wrap it without copying, as
-        FeatureMatrix._from_owned does."""
-        matrix = cls.__new__(cls)
-        matrix._adopt(arr)
-        return matrix
+    _what = "similarity matrix"
 
     @classmethod
     def _from_csr(cls, indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "SimilarityMatrix":
@@ -248,37 +248,33 @@ class SimilarityMatrix:
         return f"SimilarityMatrix(n_examples={self._n}, {kind}, nnz={self.nnz})"
 
 
-def _feature_values(data, what: str) -> np.ndarray:
-    """Accept a FeatureMatrix or any 2-D array-like of finite values.
-
-    Similarity construction does not require non-negative inputs (only the
-    resulting similarities must be non-negative), so raw arrays are allowed.
-    """
-    if isinstance(data, FeatureMatrix):
-        return data.values
-    arr = _as_2d_float(data, what)
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        r, c = (int(i) for i in bad[0])
-        raise ConstraintViolationError(
-            f"non-finite value {float(arr[r, c])} in {what} at row {r}, column {c}", position=(r, c)
-        )
-    return arr
-
-
-def _scaled_rows(arr: np.ndarray) -> np.ndarray:
-    """Each row of ``arr`` times the power of two that brings its largest
+def _scaled_rows(data) -> np.ndarray:
+    """The rows of ``data`` (a FeatureMatrix or a 2-D array-like, negative
+    values allowed), each times the power of two that brings its largest
     magnitude into [0.5, 1); an all-zero row stays zero.
 
-    Both similarity builders scale every row this way first. The scaling is
-    exact and commutes with every correctly rounded operation they apply
-    (sums, products, ``sqrt``, division, and BLAS dot products, whose order
-    does not depend on the values) unless an entry becomes subnormal. So a
-    row times any power of two has the same similarities, bit for bit, and
-    no sum of squares can overflow or underflow.
+    This is both builders' input check: a row's largest magnitude is NaN or
+    inf exactly when the row holds one, so the first such row, and the first
+    such column in it, give the first non-finite entry in row-major order.
+
+    The scaling is exact and commutes with every correctly rounded operation
+    the builders apply (sums, products, ``sqrt``, division, and BLAS dot
+    products, whose order does not depend on the values) unless an entry
+    becomes subnormal. So a row times any power of two has the same
+    similarities, bit for bit, and no sum of squares can overflow or underflow.
     """
-    _, exponent = np.frexp(np.abs(arr).max(axis=1))
-    return np.ldexp(arr, -exponent[:, None])
+    arr = data.values if isinstance(data, FeatureMatrix) else _as_2d_float(data, "input matrix")
+    peak = np.abs(arr).max(axis=1)
+    bad = ~np.isfinite(peak)
+    if bad.any():
+        r = int(np.argmax(bad))
+        c = int(np.argmin(np.isfinite(arr[r])))
+        raise ConstraintViolationError(
+            f"non-finite value {float(arr[r, c])} in input matrix at row {r}, column {c}", position=(r, c)
+        )
+    _, exponent = np.frexp(peak)
+    # A copy made here is scaled in place; a FeatureMatrix's read-only values are not.
+    return np.ldexp(arr, -exponent[:, None], out=arr if arr.flags.writeable else None)
 
 
 # Side of _unit_gram's tiles: 512 KiB of float64, which stays in a 2 MiB L2
@@ -320,28 +316,28 @@ def squared_correlation_similarity(data) -> SimilarityMatrix:
     at least three coordinates (with two, every squared correlation is 1) and
     must not be constant (a zero-variance row makes the correlation
     undefined). A single row gives ``[[1.0]]``. Rows are first scaled by
-    powers of two (see :func:`_scaled_rows`), which changes no bit of the
-    result, so rows of any finite magnitude work.
+    powers of two in :func:`_scaled_rows`, which changes no bit of the
+    result, so rows of any finite magnitude work. That pass is also the
+    input check: a NaN or inf entry is refused before any other fault.
 
     Rows are centred and divided by their norms; the product of these unit
     rows is built tile by tile and squared and clamped to 1 while in cache
     (see the module docstring). The SimilarityMatrix adopts that one n x n
     array without a copy.
     """
-    arr = _feature_values(data, "input matrix")
-    if arr.shape[1] < 3:
+    unit = _scaled_rows(data)
+    if unit.shape[1] < 3:
         raise InputError(f"squared-correlation similarity needs at least 3 features per row "
-                         f"(with 2, every squared correlation is 1), got {arr.shape[1]}", row=0)
+                         f"(with 2, every squared correlation is 1), got {unit.shape[1]}")
     # Compared exactly: the variance of a constant row can keep rounding
     # residue (np.var([0.1, 0.1, 0.1]) is 1.9e-34), which would pass as a
-    # tiny correlation.
-    flat = np.flatnonzero(arr.max(axis=1) == arr.min(axis=1))
+    # tiny correlation. Scaling keeps exactly the constant rows constant.
+    flat = np.flatnonzero(unit.max(axis=1) == unit.min(axis=1))
     if flat.size:
         raise DegenerateInputError(
             f"row {flat[0]} has zero variance across its features; correlation is undefined",
             row=int(flat[0]),
         )
-    unit = _scaled_rows(arr)
     unit -= unit.mean(axis=1, keepdims=True)
     # A row that is not constant keeps a non-zero entry after centring.
     # einsum sums the squares without an n x d temporary, which at 2,000 x 64
@@ -358,18 +354,18 @@ def cosine_similarity(data, clamp_negative: bool = False) -> SimilarityMatrix:
     negative entries) violate the non-negativity invariant: by default they
     raise, because silently clamping changes the objective; pass
     ``clamp_negative=True`` to replace them with 0 instead. Rows are first
-    scaled by powers of two (see :func:`_scaled_rows`), which changes no bit
-    of the result, so rows of any finite magnitude work.
+    scaled by powers of two in :func:`_scaled_rows`, which changes no bit
+    of the result, so rows of any finite magnitude work. That pass is also
+    the input check: a NaN or inf entry is refused before any other fault.
 
     As for :func:`squared_correlation_similarity`, the product of unit rows
     is built tile by tile, clipped (and clamped) while in cache, in one
     array that the SimilarityMatrix adopts without a copy.
     """
-    arr = _feature_values(data, "input matrix")
-    if arr.shape[1] < 2:
+    unit = _scaled_rows(data)
+    if unit.shape[1] < 2:
         raise InputError(f"cosine similarity needs at least 2 features per row "
-                         f"(with 1, every cosine is 1 or -1), got {arr.shape[1]}", row=0)
-    unit = _scaled_rows(arr)
+                         f"(with 1, every cosine is 1 or -1), got {unit.shape[1]}")
     norms = np.linalg.norm(unit, axis=1)  # at least 0.5, or 0 for an all-zero row
     if not norms.all():
         row = int(np.argmin(norms))

@@ -168,6 +168,7 @@ def _print_progress(record: ProgressRecord) -> None:
     )
 
 
+@np.errstate(over="ignore")  # an overflowing gain is inf, which _gain refuses by name
 def hybrid_maximize(
     objective: SubmodularObjective,
     k: int,

@@ -129,7 +129,8 @@ class BaseSelector:
                 f"dataset has {arr.shape[0]} rows but the selector was fitted on {self._n_fitted}"
             )
         picked = arr[list(self.result_.ranking)]
-        return FeatureMatrix(picked) if wrap else picked
+        # The gathered rows are a new array: adopt it rather than copy it again.
+        return FeatureMatrix._from_owned(picked) if wrap else picked
 
     def fit_transform(self, data):
         """fit on ``data``, then transform the same ``data``."""

@@ -175,8 +175,9 @@ class TestFacilityLocation:
             "--k", "2", "--header",
             input_text=text,
         )
+        # A fault of the whole matrix names the file and no line.
         assert code == 1
-        assert f"in.csv:2: {message}" in capsys.readouterr().err
+        assert f"in.csv: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_cosine_names_both_lines_and_no_python_keyword(self, tmp_path, capsys):

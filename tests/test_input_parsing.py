@@ -236,3 +236,51 @@ class TestErrorRows:
         err = capsys.readouterr().err
         assert err == (f"subsel: error: {tmp_path / 'in.csv'}: "
                        "similarity matrix must be square, got shape (2, 3)\n")
+
+
+class TestByteOrderMark:
+    """Excel and Notepad start UTF-8 files with a byte-order mark (U+FEFF).
+    A file that starts with one reads as the same file without it."""
+
+    BOM = "\ufeff"
+    CASES = [
+        (["--function", "feature-based", "--k", "3"], "in.csv", "1,2\n3,0.5\n0,4\n", None),
+        (["--function", "feature-based", "--k", "2", "--header"], "in.csv", "a,b\r\n1,2\r\n3,4\r\n", None),
+        (["--function", "facility-location", "--similarity", "precomputed", "--k", "2",
+          "--format", "triples"], "in.txt", "n=3\n0,0,1.0\n1,2,0.5\n2,1,0.25\n", None),
+        (["--function", "feature-based", "--k", "3"], "in.csv", "1,2\n3,0.5\n0,4\n", "2\n# then\n0\n"),
+    ]
+
+    def _run(self, tmp_path, args, name, text, initial, bom_on):
+        """Output bytes of one run; ``bom_on`` is "input" or "initial" or ""."""
+        path = write(tmp_path / name, (self.BOM if bom_on == "input" else "") + text)
+        extra = []
+        if initial is not None:
+            extra = ["--initial", write(tmp_path / "init.txt",
+                                        (self.BOM if bom_on == "initial" else "") + initial)]
+        out = tmp_path / "out.csv"
+        assert main([*args, *extra, "--input", path, "--output", str(out)]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("args,name,text,initial", CASES,
+                             ids=["csv", "csv-header-crlf", "triples", "initial"])
+    def test_leading_mark_gives_the_same_output(self, tmp_path, args, name, text, initial):
+        plain = self._run(tmp_path, args, name, text, initial, "")
+        assert self._run(tmp_path, args, name, text, initial, "input") == plain
+        if initial is not None:
+            assert self._run(tmp_path, args, name, text, initial, "initial") == plain
+
+    @pytest.mark.parametrize("args,name,text,initial,where,field", [
+        (FEATURES, "in.csv", "1,2\n\ufeff3,4\n", None, "in.csv:2", "'\\ufeff3'"),
+        (TRIPLES, "in.txt", "\ufeffn=2\n\ufeff0,0,1.0\n", None, "in.txt:2", "'\\ufeff0,0,1.0'"),
+        (FEATURES, "in.csv", "1,2\n3,4\n", "\ufeff0\n\ufeff1\n", "init.txt:2", "'\\ufeff1'"),
+    ], ids=["csv", "triples", "initial"])
+    def test_mark_inside_a_file_is_refused(self, tmp_path, capsys, args, name, text, initial,
+                                           where, field):
+        extra = [] if initial is None else ["--initial", write(tmp_path / "init.txt", initial)]
+        code = main([*args, *extra, "--input", write(tmp_path / name, text),
+                     "--output", str(tmp_path / "out.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{where}: cannot parse {field}" in err
+        assert not (tmp_path / "out.csv").exists()

@@ -745,3 +745,68 @@ class TestFiniteBoundary:
                      (from_tuples._vals, from_array._vals)]:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert np.array_equal(from_array.to_dense(), dense.to_dense())
+
+
+def _outcome(build, X):
+    """The matrix bytes ``build(X)`` gives, or its refusal's type, text, row and position."""
+    try:
+        return build(X).to_dense().tobytes()
+    except InputError as exc:
+        return type(exc), str(exc), exc.row, getattr(exc, "position", None)
+
+
+class TestBuilderInputCheck:
+    """The builders' scaling pass is their input check: it names the first
+    non-finite entry in row-major order, before any other fault."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_first_non_finite_entry_is_refused_first(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        d = data.draw(st.integers(1, 6), label="d")  # d < 3 is too few for some builders
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        X = rng.normal(size=(n, d))
+        if data.draw(st.booleans(), label="non-negative"):
+            X = np.abs(X)
+        # Constant and all-zero rows, which the builders refuse after this check.
+        for r in data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="flat rows"):
+            X[r] = data.draw(st.sampled_from([0.0, 1.5]))
+        cell = st.tuples(st.integers(0, n - 1), st.integers(0, d - 1))
+        cells = data.draw(st.lists(cell, min_size=1, max_size=4, unique=True), label="cells")
+        for r, c in cells:
+            X[r, c] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        r, c = min(cells)
+        expected = (ConstraintViolationError,
+                    f"non-finite value {float(X[r, c])} in input matrix at row {r}, column {c}",
+                    r, (r, c))
+        for build in BUILDERS.values():
+            assert _outcome(build, X) == expected
+            assert _outcome(build, X.tolist()) == expected
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_feature_matrix_input_reads_as_its_values(self, data):
+        # A FeatureMatrix holds only finite values, so its refusals are the
+        # later ones; each must be the one its values give as a raw array.
+        n = data.draw(st.integers(1, 8), label="n")
+        d = data.draw(st.integers(1, 6), label="d")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        X = rng.exponential(size=(n, d)) * 2.0 ** data.draw(st.integers(-600, 600), label="scale")
+        for r in data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="flat rows"):
+            X[r] = data.draw(st.sampled_from([0.0, 1.5]))
+        F, before = FeatureMatrix(X), X.copy()
+        for build in BUILDERS.values():
+            assert _outcome(build, F) == _outcome(build, X)
+        # Rows are scaled in place only in the builders' own copy.
+        assert X.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("build, X, message", [
+        (squared_correlation_similarity, [[1.0, 1.0], [0.0, 0.0]], "at least 3 features"),
+        (squared_correlation_similarity, [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], "row 0 has zero variance"),
+        (cosine_similarity, [[0.0], [1.0]], "at least 2 features"),
+        (cosine_similarity, [[1.0, 2.0], [0.0, 0.0]], "row 1 is all-zero"),
+    ])
+    def test_too_few_features_come_before_row_faults(self, build, X, message):
+        for given_as in (X, FeatureMatrix(X)):
+            with pytest.raises(InputError, match=message):
+                build(given_as)

@@ -525,6 +525,15 @@ class TestNonFiniteGains:
         with pytest.raises(InputError, match=message):
             hybrid_maximize(factory(), 3, **kwargs)
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_overflowing_similarity_gain_is_refused_without_a_warning(self, sparse):
+        # Every entry is finite, but row 1 sums past the largest float. numpy's
+        # overflow warning would come first; warnings fail the suite.
+        triples = [(1, 0, 1e308), (1, 1, 1e308)]
+        S = sparse_from_triples(2, triples) if sparse else SimilarityMatrix([[0.0, 0.0], [1e308, 1e308]])
+        with pytest.raises(InputError, match="candidate 1 at step 0 is inf"):
+            hybrid_maximize(FacilityLocationObjective(S), 1)
+
 
 class TestInitialSelection:
     def test_full_ground_set_replays_in_user_order(self):

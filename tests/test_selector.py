@@ -140,7 +140,7 @@ class TestDataKinds:
         # correlation is 1. Either would rank by index with one non-zero gain.
         with pytest.raises(InputError, match=message) as exc:
             FacilityLocationSelector(len(X), similarity=similarity).fit(X)
-        assert exc.value.row == 0
+        assert exc.value.row is None  # a fault of the whole matrix, not of one row
 
     def test_precomputed_accepts_similarity_matrix(self):
         sel = FacilityLocationSelector(1).fit(SimilarityMatrix(S3))
