@@ -16,9 +16,10 @@ scaling pass they start with (:func:`_scaled_rows`).
 
 Both similarity builders divide rows by their norms and fill the product
 ``unit @ unit.T`` tile by tile (see :func:`_unit_gram`): each tile on or
-above the diagonal is one BLAS product, finished elementwise and copied into
-its mirror while it is still in cache, so the result is symmetric bit for
-bit by construction. One whole-matrix product cost more: numpy mirrors its
+above the diagonal is one BLAS product, finished elementwise, checked by
+one reduction and copied into its mirror while it is still in cache. So the
+result is symmetric bit for bit by construction, and it is written once and
+not read again. One whole-matrix product cost more: numpy mirrors its
 triangle with a strided loop that took about twice the BLAS time at
 n = 2,000, and each finishing step was another pass over the n x n array.
 
@@ -92,9 +93,10 @@ def _kind(value: float) -> str:
 _CHECK_CHUNK_BYTES = 256 * 1024
 
 
-def _check_values(arr: np.ndarray, what: str) -> None:
+def _check_values(arr: np.ndarray, what: str) -> float:
     """ConstraintViolationError at the first entry (row-major) of the 2-D
     ``arr`` that is not finite and >= 0; its ``position`` is (row, column).
+    Returns the largest entry.
 
     ``min`` is NaN when any entry is, so ``min >= 0`` rules out NaN and
     negatives; +inf is then the only non-finite value left, which ``max``
@@ -102,9 +104,12 @@ def _check_values(arr: np.ndarray, what: str) -> None:
     is read from memory once and the first bad chunk holds the first bad entry.
     """
     step = max(1, _CHECK_CHUNK_BYTES // (arr.shape[1] * arr.itemsize))
+    peak = 0.0
     for start in range(0, arr.shape[0], step):
         chunk = arr[start:start + step]
-        if chunk.min() >= 0.0 and chunk.max() < np.inf:
+        top = chunk.max()
+        if chunk.min() >= 0.0 and top < np.inf:
+            peak = max(peak, float(top))
             continue
         ok = (chunk >= 0.0) & (chunk < np.inf)
         r, c = (int(i) for i in np.unravel_index(int(np.argmin(ok)), chunk.shape))
@@ -114,6 +119,32 @@ def _check_values(arr: np.ndarray, what: str) -> None:
             f"(every {what} must be finite and non-negative)",
             position=(start + r, c),
         )
+    return peak
+
+
+# Half the largest float64. A sum, in any order, of n entries in
+# [0, _HALF_MAX / n] rounds to at most _HALF_MAX * (1 + n * eps), which is
+# finite: a matrix whose largest entry is that small skips the overflow scan.
+_HALF_MAX = float(np.finfo(np.float64).max) / 2
+
+
+def _refuse_overflowing_rows(arr: np.ndarray) -> None:
+    """ConstraintViolationError at the (row, column) where the running sum of
+    the first row (row-major) that sums past the largest float64 overflows.
+    The running sums are taken one chunk of rows at a time.
+    """
+    step = max(1, _CHECK_CHUNK_BYTES // (arr.shape[1] * arr.itemsize))
+    with np.errstate(over="ignore"):
+        for start in range(0, arr.shape[0], step):
+            running = np.cumsum(arr[start:start + step], axis=1)
+            over = running[:, -1] == np.inf  # running sums of entries >= 0 never fall
+            if over.any():
+                r = int(np.argmax(over))
+                c = int(np.argmax(running[r] == np.inf))
+                raise ConstraintViolationError(
+                    f"similarity row {start + r} sum overflows at column {c} (row sums must be finite)",
+                    position=(start + r, c),
+                )
 
 
 class _Owned:
@@ -121,15 +152,16 @@ class _Owned:
     ``Cls._from_owned(arr)`` adopts a 2-D float64 array the library made and
     nobody else holds. Either way the subclass's ``_adopt`` checks the array,
     makes it read-only in place and keeps it; ``_what`` names it in errors.
+    Keywords of ``_from_owned`` go to ``_adopt``.
     """
 
     def __init__(self, values):
         self._adopt(_as_2d_float(values, self._what))
 
     @classmethod
-    def _from_owned(cls, arr: np.ndarray):
+    def _from_owned(cls, arr: np.ndarray, **adopt):
         matrix = cls.__new__(cls)
-        matrix._adopt(arr)
+        matrix._adopt(arr, **adopt)
         return matrix
 
 
@@ -184,9 +216,16 @@ class SimilarityMatrix(_Owned):
 
     ``SimilarityMatrix(values)`` copies a dense square array and checks that
     every entry is finite and >= 0, as ``FeatureMatrix(values)`` does;
-    asymmetry is allowed. The sparse form, built by :func:`sparse_from_triples`,
-    stores rows in CSR layout with columns sorted ascending; entries not
-    stored are zero.
+    asymmetry is allowed. Every row must also sum to a finite value (its
+    candidate's first gain); a row that does not is reported at the column
+    where its running sum overflows. The sparse form, built by
+    :func:`sparse_from_triples`, stores rows in CSR layout with columns
+    sorted ascending; entries not stored are zero.
+
+    Dense arrays from outside the library (this constructor,
+    :func:`as_similarity`, the CLI's precomputed input) are scanned in full.
+    The builders check each tile in cache instead, and adopt their entries,
+    all at most 1, with ``_from_owned(arr, checked=True)``.
     """
 
     _what = "similarity matrix"
@@ -200,10 +239,11 @@ class SimilarityMatrix(_Owned):
         matrix._n = len(indptr) - 1
         return matrix
 
-    def _adopt(self, arr: np.ndarray) -> None:
+    def _adopt(self, arr: np.ndarray, checked: bool = False) -> None:
         if arr.shape[0] != arr.shape[1]:
             raise InputError(f"similarity matrix must be square, got shape {arr.shape}")
-        _check_values(arr, "similarity")
+        if not checked and _check_values(arr, "similarity") > _HALF_MAX / arr.shape[1]:
+            _refuse_overflowing_rows(arr)
         arr.setflags(write=False)
         self._dense = arr
         self._indptr = self._cols = self._vals = None
@@ -282,31 +322,43 @@ def _scaled_rows(data) -> np.ndarray:
 _TILE = 256
 
 
-def _unit_gram(unit: np.ndarray, finish) -> np.ndarray:
-    """``unit @ unit.T`` with the elementwise ``finish`` applied in place and a
-    unit diagonal, built one upper-triangle tile at a time (one ``np.matmul``
-    each) and mirrored tile by tile. Up to ``_TILE`` rows it is the single
-    product ``np.matmul(unit, unit.T)``.
+def _unit_gram(unit: np.ndarray, finish) -> tuple[np.ndarray, bool]:
+    """``unit @ unit.T`` with a unit diagonal and the elementwise ``finish``
+    applied in place, built one upper-triangle tile at a time (one
+    ``np.matmul`` each) and mirrored tile by tile. Up to ``_TILE`` rows it is
+    the single product ``np.matmul(unit, unit.T)``.
+
+    ``finish(tile)`` returns whether its tile is now finite and >= 0, found
+    with one reduction while the tile is in cache. Returns the matrix and
+    whether every tile was, so a clean result needs no second scan.
     """
     n = len(unit)
     out = np.empty((n, n))
+    valid = True
     for i in range(0, n, _TILE):
         rows = unit[i:i + _TILE]
         for j in range(i, n, _TILE):
             tile = out[i:i + _TILE, j:j + _TILE]
             np.matmul(rows, unit[j:j + _TILE].T, out=tile)
-            finish(tile)
             if i == j:
                 # Self-similarity is exactly 1 by definition; avoid last-ulp residue.
+                # Set before finish, which maps 1 to 1: residue above 1 needs no clamp.
                 np.fill_diagonal(tile, 1.0)
-            else:
+            valid &= finish(tile)
+            if i != j:
                 out[j:j + _TILE, i:i + _TILE] = tile.T
-    return out
+    return out, valid
 
 
-def _square_at_most_one(tile: np.ndarray) -> None:
+def _square_at_most_one(tile: np.ndarray) -> bool:
+    """Square ``tile`` and clamp it to 1; returns whether it holds no NaN.
+    Squares are never negative, and one ``max`` (NaN if any entry is) both
+    checks the tile and tells whether the clamp pass is needed at all."""
     np.square(tile, out=tile)
-    np.minimum(tile, 1.0, out=tile)
+    peak = tile.max()
+    if peak > 1.0:
+        np.minimum(tile, 1.0, out=tile)
+    return not np.isnan(peak)
 
 
 def squared_correlation_similarity(data) -> SimilarityMatrix:
@@ -321,9 +373,9 @@ def squared_correlation_similarity(data) -> SimilarityMatrix:
     input check: a NaN or inf entry is refused before any other fault.
 
     Rows are centred and divided by their norms; the product of these unit
-    rows is built tile by tile and squared and clamped to 1 while in cache
-    (see the module docstring). The SimilarityMatrix adopts that one n x n
-    array without a copy.
+    rows is built tile by tile and squared, checked and clamped to 1 while
+    in cache (see the module docstring). The SimilarityMatrix adopts that
+    one n x n array without a copy or a second scan.
     """
     unit = _scaled_rows(data)
     if unit.shape[1] < 3:
@@ -343,7 +395,8 @@ def squared_correlation_similarity(data) -> SimilarityMatrix:
     # einsum sums the squares without an n x d temporary, which at 2,000 x 64
     # cost ~1 MB of peak RSS through np.linalg.norm.
     unit /= np.sqrt(np.einsum("ij,ij->i", unit, unit))[:, None]
-    return SimilarityMatrix._from_owned(_unit_gram(unit, _square_at_most_one))
+    sim, valid = _unit_gram(unit, _square_at_most_one)
+    return SimilarityMatrix._from_owned(sim, checked=valid)
 
 
 def cosine_similarity(data, clamp_negative: bool = False) -> SimilarityMatrix:
@@ -359,8 +412,9 @@ def cosine_similarity(data, clamp_negative: bool = False) -> SimilarityMatrix:
     the input check: a NaN or inf entry is refused before any other fault.
 
     As for :func:`squared_correlation_similarity`, the product of unit rows
-    is built tile by tile, clipped (and clamped) while in cache, in one
-    array that the SimilarityMatrix adopts without a copy.
+    is built tile by tile, clipped (and clamped) and checked while in cache,
+    in one array that the SimilarityMatrix adopts without a copy or a second
+    scan.
     """
     unit = _scaled_rows(data)
     if unit.shape[1] < 2:
@@ -372,14 +426,15 @@ def cosine_similarity(data, clamp_negative: bool = False) -> SimilarityMatrix:
         raise DegenerateInputError(f"row {row} is all-zero; cosine similarity is undefined", row=row)
     unit /= norms[:, None]
 
-    def clip(tile: np.ndarray) -> None:
+    def clip(tile: np.ndarray) -> bool:
         np.clip(tile, -1.0, 1.0, out=tile)
         if clamp_negative:
             np.maximum(tile, 0.0, out=tile)
+        return tile.min() >= 0.0  # False for a negative or NaN entry
 
-    sim = _unit_gram(unit, clip)
+    sim, valid = _unit_gram(unit, clip)
     try:
-        return SimilarityMatrix._from_owned(sim)
+        return SimilarityMatrix._from_owned(sim, checked=valid)
     except ConstraintViolationError as exc:  # clipped entries are finite: a negative one
         (r, c), value = exc.position, float(sim[exc.position])
         raise NegativeCosineError(
@@ -405,11 +460,14 @@ def sparse_from_triples(n: int, triples: Iterable[Sequence] | np.ndarray) -> Sim
 
     ``triples`` is an iterable of 3-sequences or a structured array of
     :data:`TRIPLE_DTYPE`. Indices must lie in [0, n), values must be finite
-    and >= 0, and no (row, col) pair may repeat. Entries not listed are zero.
-    Validation errors identify the first offending triple in input order by
-    its position in the input sequence; range and value errors take
-    precedence over duplicates. ``n`` is an integer of at most 3,037,000,499,
-    so that the n * n pairs fit a 64-bit index.
+    and >= 0, no (row, col) pair may repeat, and every row must sum to a
+    finite value. Entries not listed are zero. Validation errors identify
+    the first offending triple in input order by its position in the input
+    sequence; range and value errors take precedence over duplicates, and
+    duplicates over a row sum that overflows, which is reported at the
+    triple where the row's running sum, in column order, overflows. ``n``
+    is an integer of at most 3,037,000,499, so that the n * n pairs fit a
+    64-bit index.
     """
     n = _integer("n", n)
     _check_sparse_size(n)
@@ -443,9 +501,33 @@ def sparse_from_triples(n: int, triples: Iterable[Sequence] | np.ndarray) -> Sim
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     cols_s = cols[order]
     vals_s = vals[order]
+    # Gated on the largest entry times the longest row, so ordinary values skip the scan.
+    if len(vals_s) and vals_s.max() > _HALF_MAX / np.diff(indptr).max():
+        k = _overflowing_triple(indptr, vals_s, order)
+        if k is not None:
+            t = triples[k].item()
+            raise TripleValidationError(f"triple #{k} overflows the sum of row {t[0]}: {t}", k, t)
     for a in (indptr, cols_s, vals_s):
         a.setflags(write=False)
     return SimilarityMatrix._from_csr(indptr, cols_s, vals_s)
+
+
+def _overflowing_triple(indptr: np.ndarray, vals: np.ndarray, order: np.ndarray) -> int | None:
+    """Input position of the first triple, in input order, at which its
+    row's running sum in column order overflows; None when no row's does.
+    ``vals`` holds the CSR values and ``order[i]`` the input position of
+    ``vals[i]``.
+    """
+    rows = np.flatnonzero(np.diff(indptr))  # reduceat needs non-empty segments
+    with np.errstate(over="ignore"):
+        sums = np.add.reduceat(vals, indptr[rows])
+        firsts = []
+        for r in rows[sums == np.inf]:
+            lo, hi = indptr[r], indptr[r + 1]
+            over = np.cumsum(vals[lo:hi]) == np.inf
+            if over.any():
+                firsts.append(int(order[lo + np.argmax(over)]))
+    return min(firsts, default=None)
 
 
 def as_similarity(data) -> SimilarityMatrix:

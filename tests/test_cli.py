@@ -81,6 +81,18 @@ class TestFeatureBased:
 
 
 class TestFacilityLocation:
+    def test_overflowing_row_sum_names_file_and_line(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow RuntimeWarning would raise
+            code, out = run_cli(
+                tmp_path, "--function", "facility-location", "--similarity", "precomputed",
+                "--k", "1", input_text="0,0\n1e308,1e308\n",
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "in.csv:2:" in err and "row sums must be finite" in err
+        assert not out.exists()
+
     def test_precomputed_csv(self, tmp_path):
         code, out = run_cli(
             tmp_path,
@@ -235,6 +247,15 @@ class TestTriplesDiagnostics:
         code, _ = self.run_triples(tmp_path, "n=2\n\n0,0,-1.0\n")
         assert code == 1
         assert "in.txt:3" in capsys.readouterr().err
+
+    def test_overflowing_row_sum_names_line(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow RuntimeWarning would raise
+            code, out = self.run_triples(tmp_path, "n=2\n1,0,1e308\n1,1,1e308\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "in.txt:3:" in err and "overflows the sum of row 1" in err
+        assert not out.exists()
 
 
 class TestParsingDiagnostics:

@@ -26,7 +26,17 @@ from subsel import (
     sparse_from_triples,
     squared_correlation_similarity,
 )
-from subsel.matrices import _CHECK_CHUNK_BYTES, _TILE, TRIPLE_DTYPE, _scaled_rows, as_similarity
+from subsel import matrices
+from subsel.cli import main
+from subsel.matrices import (
+    _CHECK_CHUNK_BYTES,
+    _TILE,
+    TRIPLE_DTYPE,
+    _scaled_rows,
+    _square_at_most_one,
+    _unit_gram,
+    as_similarity,
+)
 from instances import sparse_and_dense
 
 
@@ -106,6 +116,29 @@ class TestDenseSimilarity:
             SimilarityMatrix(values)
         assert exc.value.position == position
 
+    def test_rejects_row_sum_that_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstraintViolationError, match="row sums must be finite") as exc:
+                SimilarityMatrix([[1.0, 1e308, 1e308], [1e308, 1e308, 1.0], [0.0, 0.0, 0.0]])
+            assert SimilarityMatrix([[1e308, 7e307], [0.0, 1.0]]).n_examples == 2
+        # The first row, row-major, at the column where its running sum is no longer finite.
+        assert exc.value.position == (0, 2)
+
+    def test_row_sum_overflow_in_a_later_chunk(self):
+        values = np.full((500, 500), 0.25)
+        values[300, [10, 499]] = 1e308
+        values[400, :2] = 1e308
+        with pytest.raises(ConstraintViolationError) as exc:
+            SimilarityMatrix(values)
+        assert exc.value.position == (300, 499)
+
+    def test_ordinary_values_skip_the_row_sum_scan(self, monkeypatch):
+        scans = []
+        monkeypatch.setattr(matrices, "_refuse_overflowing_rows", scans.append)
+        SimilarityMatrix(np.random.default_rng(0).uniform(0.0, 1e300, size=(50, 50)))
+        assert scans == []
+
     def test_constructor_takes_no_dense_keyword(self):
         with pytest.raises(TypeError):
             SimilarityMatrix(dense=np.eye(2))
@@ -172,6 +205,27 @@ class TestSparseSimilarity:
         with pytest.raises(TripleValidationError) as exc:
             sparse_from_triples(2, [(0, 0, -1.0)])
         assert exc.value.row == 0
+
+    def test_rejects_row_sum_that_overflows(self):
+        # Row 1 overflows at (1, 2), triple #2; row 2 at (2, 1), triple #0,
+        # which comes first in input order.
+        triples = [(2, 1, 1e308), (0, 0, 1.0), (1, 2, 1e308), (1, 1, 1e308), (2, 0, 1e308)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TripleValidationError, match="overflows the sum of row 2") as exc:
+                sparse_from_triples(3, triples)
+            assert sparse_from_triples(2, [(0, 1, 1e308), (0, 0, 7e307)]).nnz == 2
+        assert exc.value.row == 0
+
+    def test_a_duplicate_comes_before_an_overflow(self):
+        with pytest.raises(TripleValidationError, match="duplicate"):
+            sparse_from_triples(2, [(0, 0, 1e308), (0, 1, 1e308), (0, 0, 1.0)])
+
+    def test_ordinary_values_skip_the_row_sum_scan(self, monkeypatch):
+        scans = []
+        monkeypatch.setattr(matrices, "_overflowing_triple", lambda *a: scans.append(a))
+        sparse_from_triples(3, [(0, 0, 1e300), (0, 1, 1e300), (2, 2, 1.0)])
+        assert scans == []
 
     def test_rejects_nan_value(self):
         with pytest.raises(TripleValidationError):
@@ -548,11 +602,17 @@ class TestSymmetricBuild:
         assert np.abs(squared_correlation_similarity(X).to_dense() - expected).max() <= tol
 
 
-def _whole_matrix_squared_correlation(X):
-    """squared_correlation_similarity written as one whole-matrix product."""
+def _centred_unit_rows(X):
+    """The rows squared_correlation_similarity multiplies: scaled, centred, unit norm."""
     unit = _scaled_rows(X)
     unit -= unit.mean(axis=1, keepdims=True)
     unit /= np.sqrt(np.einsum("ij,ij->i", unit, unit))[:, None]
+    return unit
+
+
+def _whole_matrix_squared_correlation(X):
+    """squared_correlation_similarity written as one whole-matrix product."""
+    unit = _centred_unit_rows(X)
     sim = np.minimum(np.square(unit @ unit.T), 1.0)
     np.fill_diagonal(sim, 1.0)
     return sim
@@ -602,6 +662,52 @@ class TestTiledBuild:
         assert exc.value.position == (p, q)
         assert exc.value.value == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
+    @pytest.mark.parametrize("name", BUILDERS)
+    @pytest.mark.parametrize("n", TILE_SIZES)
+    def test_clean_builds_do_not_scan_their_output(self, monkeypatch, name, n):
+        scans = _count_square_scans(monkeypatch, n)
+        BUILDERS[name](np.random.default_rng(n).uniform(0.0, 1.0, size=(n, 8)))
+        assert scans == []
+
+    def test_a_refusal_and_outside_arrays_are_scanned_once(self, monkeypatch, tmp_path):
+        n = _TILE + 1
+        scans = _count_square_scans(monkeypatch, n)
+        with pytest.raises(NegativeCosineError):
+            cosine_similarity(np.random.default_rng(1).normal(size=(n, 8)))
+        assert len(scans) == 1
+        values = np.random.default_rng(2).uniform(0.0, 1.0, size=(n, n))
+        for intake in (SimilarityMatrix, as_similarity):
+            scans.clear()
+            intake(values)
+            assert len(scans) == 1
+        scans.clear()
+        path = tmp_path / "in.csv"
+        np.savetxt(path, values, delimiter=",")
+        assert main(["--function", "facility-location", "--similarity", "precomputed", "--k", "1",
+                     "--input", str(path), "--output", str(tmp_path / "out.csv")]) == 0
+        assert len(scans) == 1
+
+    def test_a_raw_square_above_one_is_clamped(self):
+        X = np.random.default_rng(7).normal(size=(6, 7))
+        X[1] = 4.0 * X[0]  # the same unit row: its squared product rounds above 1
+        unit = _centred_unit_rows(X)
+        assert np.square(np.matmul(unit, unit.T))[0, 1] > 1.0
+        S = squared_correlation_similarity(X).to_dense()
+        assert S.max() <= 1.0
+        assert S.tobytes() == _whole_matrix_squared_correlation(X).tobytes()
+
+    def test_a_nan_tile_is_reported_and_refused_at_its_first_entry(self):
+        bad = _TILE + 3
+        unit = _centred_unit_rows(np.random.default_rng(4).normal(size=(2 * _TILE + 1, 5)))
+        unit[bad, 2] = np.nan
+        sim, valid = _unit_gram(unit, _square_at_most_one)
+        assert not valid
+        with pytest.raises(ConstraintViolationError) as exc:
+            SimilarityMatrix._from_owned(sim, checked=valid)  # the builders' adopt
+        assert str(exc.value) == (f"non-finite similarity nan at row 0, column {bad} "
+                                  "(every similarity must be finite and non-negative)")
+        assert exc.value.position == (0, bad)
+
     def test_bytes_do_not_depend_on_the_blas_thread_count(self):
         script = (
             "import hashlib, numpy as np, subsel\n"
@@ -619,6 +725,20 @@ class TestTiledBuild:
                                   text=True, timeout=120, check=True)
             digests.append(done.stdout.split())
         assert len(digests[0]) == 2 and digests[0] == digests[1]
+
+
+def _count_square_scans(monkeypatch, n):
+    """A list that gets one entry per full value scan of an n x n array."""
+    scans = []
+    check = matrices._check_values
+
+    def counted(arr, what):
+        if arr.shape == (n, n):
+            scans.append(what)
+        return check(arr, what)
+
+    monkeypatch.setattr(matrices, "_check_values", counted)
+    return scans
 
 
 def _chunk_rows(n_cols):

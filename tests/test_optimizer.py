@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsel import (
+    ConstraintViolationError,
     FacilityLocationObjective,
     FacilityLocationSelector,
     FeatureBasedObjective,
@@ -20,6 +21,7 @@ from subsel import (
     ProgressRecord,
     SelectionResult,
     SimilarityMatrix,
+    TripleValidationError,
     facility_location_eval,
     hybrid_maximize,
     sparse_from_triples,
@@ -528,9 +530,18 @@ class TestNonFiniteGains:
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_overflowing_similarity_gain_is_refused_without_a_warning(self, sparse):
         # Every entry is finite, but row 1 sums past the largest float. numpy's
-        # overflow warning would come first; warnings fail the suite.
+        # overflow warning would come first; warnings fail the suite. Intake
+        # refuses the row; a matrix that skips that check meets the optimizer's.
         triples = [(1, 0, 1e308), (1, 1, 1e308)]
-        S = sparse_from_triples(2, triples) if sparse else SimilarityMatrix([[0.0, 0.0], [1e308, 1e308]])
+        values = np.array([[0.0, 0.0], [1e308, 1e308]])
+        with pytest.raises(TripleValidationError if sparse else ConstraintViolationError,
+                           match="overflow") as exc:
+            sparse_from_triples(2, triples) if sparse else SimilarityMatrix(values)
+        assert exc.value.row == 1
+        if sparse:
+            S = SimilarityMatrix._from_csr(np.array([0, 0, 2]), np.array([0, 1]), values[1].copy())
+        else:
+            S = SimilarityMatrix._from_owned(values, checked=True)
         with pytest.raises(InputError, match="candidate 1 at step 0 is inf"):
             hybrid_maximize(FacilityLocationObjective(S), 1)
 
