@@ -11,8 +11,9 @@ Entry orientation: ``S[i][j]`` is read as "similarity of candidate i to
 covered element j". Asymmetric dense matrices are accepted.
 
 Each input has one intake: both dense containers share one copy-or-adopt
-pair (:class:`_Owned`), and the similarity builders' input check is the
-scaling pass they start with (:func:`_scaled_rows`).
+body and one overflow rule, running sums in index order that stay finite
+(:class:`_Owned`), and the similarity builders' input check is the scaling
+pass they start with (:func:`_scaled_rows`).
 
 Both similarity builders divide rows by their norms and fill the product
 ``unit @ unit.T`` tile by tile (see :func:`_unit_gram`): each tile on or
@@ -128,31 +129,36 @@ def _check_values(arr: np.ndarray, what: str) -> float:
 _HALF_MAX = float(np.finfo(np.float64).max) / 2
 
 
-def _refuse_overflowing_rows(arr: np.ndarray) -> None:
-    """ConstraintViolationError at the (row, column) where the running sum of
-    the first row (row-major) that sums past the largest float64 overflows.
-    The running sums are taken one chunk of rows at a time.
+def _first_overflow(arr: np.ndarray, axis: int) -> tuple[int, int] | None:
+    """The row-major first (row, column) of the 2-D ``arr`` at which a running
+    sum along ``axis`` (0: down each column, 1: along each row) is inf, or None.
+    Each chunk of rows is summed under a row of the last sums before it: down
+    the columns that row is the first term, so the sums equal one whole-array
+    ``np.cumsum`` bit for bit; along the rows it sums alone and is dropped.
     """
     step = max(1, _CHECK_CHUNK_BYTES // (arr.shape[1] * arr.itemsize))
+    sums = np.full((1, arr.shape[1]), -0.0)  # -0.0 + x is x for every x
     with np.errstate(over="ignore"):
         for start in range(0, arr.shape[0], step):
-            running = np.cumsum(arr[start:start + step], axis=1)
-            over = running[:, -1] == np.inf  # running sums of entries >= 0 never fall
+            running = np.cumsum(np.vstack((sums, arr[start:start + step])), axis=axis)[1:]
+            over = running == np.inf
             if over.any():
-                r = int(np.argmax(over))
-                c = int(np.argmax(running[r] == np.inf))
-                raise ConstraintViolationError(
-                    f"similarity row {start + r} sum overflows at column {c} (row sums must be finite)",
-                    position=(start + r, c),
-                )
+                r, c = (int(i) for i in np.unravel_index(int(np.argmax(over)), over.shape))
+                return start + r, c
+            sums = running[-1:]
+    return None
 
 
 class _Owned:
-    """The dense containers' intake: ``Cls(values)`` copies ``values``, and
-    ``Cls._from_owned(arr)`` adopts a 2-D float64 array the library made and
-    nobody else holds. Either way the subclass's ``_adopt`` checks the array,
-    makes it read-only in place and keeps it; ``_what`` names it in errors.
-    Keywords of ``_from_owned`` go to ``_adopt``.
+    """The dense containers' one intake. ``Cls(values)`` copies ``values``;
+    ``Cls._from_owned(arr, **adopt)`` adopts a 2-D float64 array the library
+    made and nobody else holds. ``_adopt`` checks that every entry is finite
+    and >= 0 and that every running sum along ``_axis`` stays finite (summed
+    only when the largest entry times the length along ``_axis`` passes half
+    the largest float64), then freezes the array and hands it to ``_keep``.
+    ``checked=True`` skips both checks, for the builders' checked tiles.
+    Subclasses name the matrix, its entries and the overflow, formatted
+    with (row, column), in ``_what``, ``_entry`` and ``_overflow``.
     """
 
     def __init__(self, values):
@@ -164,34 +170,32 @@ class _Owned:
         matrix._adopt(arr, **adopt)
         return matrix
 
+    def _adopt(self, arr: np.ndarray, checked: bool = False) -> None:
+        if not checked and _check_values(arr, self._entry) > _HALF_MAX / arr.shape[self._axis]:
+            at = _first_overflow(arr, self._axis)
+            if at is not None:
+                raise ConstraintViolationError(self._overflow.format(*at), position=at)
+        arr.setflags(write=False)
+        self._keep(arr)
+
 
 class FeatureMatrix(_Owned):
     """Dense n x D matrix of non-negative feature values.
 
     Rows are examples, columns are features. Every entry must be finite and
     >= 0; this is what makes the feature-based objective monotone (an inf
-    entry would turn gains into NaN). Every column must also sum to a finite
-    value, so no selection's accumulated feature mass can overflow to inf;
-    a column that does not is reported at the first row where its running
-    sum overflows.
+    entry would turn gains into NaN). Every column's running sum, row by
+    row, must also stay finite, so no selection's feature mass can overflow;
+    a refusal names the row where the first such sum overflows.
 
     ``values`` is always copied, so the caller's array is never frozen or
     aliased; the matrix holds that one copy.
     """
 
-    _what = "feature matrix"
+    _what, _entry, _axis = "feature matrix", "feature value", 0
+    _overflow = "feature column {1} sum overflows at row {0} (column sums must be finite)"
 
-    def _adopt(self, arr: np.ndarray) -> None:
-        _check_values(arr, "feature value")
-        with np.errstate(over="ignore"):
-            if arr.sum(axis=0).max() == np.inf:
-                running = np.cumsum(arr, axis=0)
-                row, col = np.unravel_index(int(np.argmax(running == np.inf)), arr.shape)
-                raise ConstraintViolationError(
-                    f"feature column {col} sum overflows at row {row} (column sums must be finite)",
-                    position=(int(row), int(col)),
-                )
-        arr.setflags(write=False)
+    def _keep(self, arr: np.ndarray) -> None:
         self._values = arr
 
     @property
@@ -214,21 +218,16 @@ class FeatureMatrix(_Owned):
 class SimilarityMatrix(_Owned):
     """Square n x n table of non-negative similarities, dense or sparse.
 
-    ``SimilarityMatrix(values)`` copies a dense square array and checks that
-    every entry is finite and >= 0, as ``FeatureMatrix(values)`` does;
-    asymmetry is allowed. Every row must also sum to a finite value (its
-    candidate's first gain); a row that does not is reported at the column
-    where its running sum overflows. The sparse form, built by
-    :func:`sparse_from_triples`, stores rows in CSR layout with columns
-    sorted ascending; entries not stored are zero.
-
-    Dense arrays from outside the library (this constructor,
-    :func:`as_similarity`, the CLI's precomputed input) are scanned in full.
-    The builders check each tile in cache instead, and adopt their entries,
-    all at most 1, with ``_from_owned(arr, checked=True)``.
+    ``SimilarityMatrix(values)`` copies a dense square array and checks it
+    as ``FeatureMatrix(values)`` does, with running sums along each row (its
+    candidate's first gain) instead of down each column; asymmetry is
+    allowed. The sparse form, built by :func:`sparse_from_triples`, stores
+    rows in CSR layout with columns sorted ascending; entries not stored are
+    zero.
     """
 
-    _what = "similarity matrix"
+    _what, _entry, _axis = "similarity matrix", "similarity", 1
+    _overflow = "similarity row {0} sum overflows at column {1} (row sums must be finite)"
 
     @classmethod
     def _from_csr(cls, indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "SimilarityMatrix":
@@ -242,9 +241,9 @@ class SimilarityMatrix(_Owned):
     def _adopt(self, arr: np.ndarray, checked: bool = False) -> None:
         if arr.shape[0] != arr.shape[1]:
             raise InputError(f"similarity matrix must be square, got shape {arr.shape}")
-        if not checked and _check_values(arr, "similarity") > _HALF_MAX / arr.shape[1]:
-            _refuse_overflowing_rows(arr)
-        arr.setflags(write=False)
+        super()._adopt(arr, checked)
+
+    def _keep(self, arr: np.ndarray) -> None:
         self._dense = arr
         self._indptr = self._cols = self._vals = None
         self._n = arr.shape[0]

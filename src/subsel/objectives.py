@@ -311,9 +311,9 @@ class FunctionObjective(SubmodularObjective):
 def _feature_weights(weights, n_features: int) -> np.ndarray:
     if weights is None:
         return np.ones(n_features)
-    w = np.array(weights, dtype=np.float64, copy=True).ravel()
-    if w.shape[0] != n_features:
-        raise InputError(f"expected {n_features} feature weights, got {w.shape[0]}")
+    w = np.array(weights, dtype=np.float64, copy=True)
+    if w.shape != (n_features,):
+        raise InputError(f"expected {n_features} feature weights in a 1-D array, got shape {w.shape}")
     _check_values(w[None, :], "feature weight")  # a 1 x D view: positions are (0, i)
     w.setflags(write=False)
     return w

@@ -130,6 +130,7 @@ class BaseSelector:
             )
         picked = arr[list(self.result_.ranking)]
         # The gathered rows are a new array: adopt it rather than copy it again.
+        # Adopting re-checks them, a k x D min/max below the gate: ranking order makes new column sums.
         return FeatureMatrix._from_owned(picked) if wrap else picked
 
     def fit_transform(self, data):

@@ -67,14 +67,33 @@ class TestFeatureMatrix:
         with pytest.raises(ConstraintViolationError):
             FeatureMatrix([[1.0, np.nan]])
 
-    def test_rejects_column_sum_that_overflows(self):
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_rejects_column_sum_that_overflows(self, width):
+        # Each 9e291 is below half an ulp of the largest float64, so the running
+        # sum stays there, although numpy's pairwise sum of one column overflows.
+        near_max = np.zeros((1000, width))
+        near_max[:, 0] = [np.finfo(np.float64).max] + [9e291] * 999
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConstraintViolationError, match="column sums must be finite") as exc:
                 FeatureMatrix([[1.0, 1e308], [2.0, 1e308], [3.0, 1.0]])
             assert FeatureMatrix([[1e308], [7e307]]).n_examples == 2
+            assert FeatureMatrix(near_max).n_examples == 1000
         # The first row at which the running sum of a column is no longer finite.
         assert exc.value.position == (1, 1)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_running_sum_overflow_that_a_pairwise_sum_misses(self, width):
+        # Seven entries of 1.5e291 sum past half an ulp of the largest float64
+        # before it, so the running sum overflows at row 7; numpy's pairwise sum
+        # of one column adds them to it one, two and four at a time, each less.
+        column = np.array([1.5e291] * 7 + [np.finfo(np.float64).max])
+        assert np.sum(column) < np.inf
+        values = np.zeros((8, width))
+        values[:, -1] = column
+        with pytest.raises(ConstraintViolationError, match=f"feature column {width - 1} sum overflows at row 7") as exc:
+            FeatureMatrix(values)
+        assert exc.value.position == (7, width - 1)
 
     def test_rejects_wrong_ndim(self):
         with pytest.raises(InputError):
@@ -135,9 +154,16 @@ class TestDenseSimilarity:
 
     def test_ordinary_values_skip_the_row_sum_scan(self, monkeypatch):
         scans = []
-        monkeypatch.setattr(matrices, "_refuse_overflowing_rows", scans.append)
-        SimilarityMatrix(np.random.default_rng(0).uniform(0.0, 1e300, size=(50, 50)))
+        monkeypatch.setattr(matrices, "_first_overflow", lambda arr, axis: scans.append(axis))
+        values = np.random.default_rng(0).uniform(0.0, 1e300, size=(50, 50))
+        SimilarityMatrix(values)
+        FeatureMatrix(values)
         assert scans == []
+        # Past the gate (largest entry times n above half the largest float64) both scan.
+        values[3, 4] = 1e307
+        SimilarityMatrix(values)
+        FeatureMatrix(values)
+        assert scans == [1, 0]
 
     def test_constructor_takes_no_dense_keyword(self):
         with pytest.raises(TypeError):
@@ -783,6 +809,62 @@ class TestChunkedValueCheck:
         with pytest.raises(ConstraintViolationError) as exc:
             FeatureMatrix(values)
         assert exc.value.position == (2, width - 1)
+
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+# Entries wider than a value-check chunk: each chunk of rows holds one row.
+_WIDE = _CHECK_CHUNK_BYTES // 8 + 3
+
+
+@st.composite
+def _overflow_cases(draw):
+    """(array, axis): one background value and a few large entries, in shapes
+    whose chunks of rows hold one row, a few rows or every row, with n at and
+    past the chunk boundaries. A background of the largest float64 over d
+    makes running sums overflow near the d-th term, across chunks too."""
+    width = draw(st.sampled_from([1, 3, 50, _WIDE]))
+    step = max(1, _chunk_rows(width))
+    n = draw(st.sampled_from([1, step, step + 1, 2 * step + 1]) | st.integers(1, 2 * step + 2))
+    background = draw(st.sampled_from([0.0, 1.0])
+                      | st.integers(1, 2 * max(n, width)).map(lambda d: _FLOAT_MAX / d))
+    values = np.full((n, width), background)
+    spikes = st.tuples(st.integers(0, n - 1), st.integers(0, width - 1),
+                       st.sampled_from([9e291, 1.5e291, 1e307, 9e307, _FLOAT_MAX]))
+    for r, c, v in draw(st.lists(spikes, max_size=4)):
+        values[r, c] = v
+    return values, draw(st.sampled_from([0, 1]))
+
+
+class TestOverflowLocator:
+    """Both containers locate an overflowing running sum with _first_overflow."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_overflow_cases())
+    def test_matches_a_whole_array_cumsum(self, case):
+        values, axis = case
+        with np.errstate(over="ignore"):
+            over = np.cumsum(values, axis=axis) == np.inf
+        expected = tuple(int(i) for i in np.argwhere(over)[0]) if over.any() else None
+        assert matrices._first_overflow(values, axis) == expected
+
+    def test_column_sums_carry_across_chunks(self):
+        values = np.full((3, _WIDE), 9e307)
+        assert matrices._first_overflow(values, 0) == (1, 0)
+        assert matrices._first_overflow(values, 1) == (0, 1)
+        with pytest.raises(ConstraintViolationError, match="feature column 0 sum overflows at row 1") as exc:
+            FeatureMatrix(values)
+        assert exc.value.position == (1, 0)
+
+    def test_carried_sums_are_the_first_term(self):
+        # The largest float64 ends the first chunk; each 9e291 after it is below
+        # half its ulp, so the running sum stays there. Adding the carry to the
+        # next chunk's own sums instead would overflow.
+        step = _chunk_rows(1)
+        values = np.zeros((2 * step, 1))
+        values[step - 1] = _FLOAT_MAX
+        values[step:] = 9e291
+        assert matrices._first_overflow(values, 0) is None
+        assert FeatureMatrix(values).n_examples == 2 * step
 
 
 class TestRowScaling:

@@ -1,6 +1,7 @@
 """Objective values, marginal gains, and the gain/update contract."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from subsel import (
     ConstraintViolationError,
     FacilityLocationObjective,
     FeatureBasedObjective,
+    FeatureBasedSelector,
     FeatureMatrix,
     FunctionObjective,
     InputError,
@@ -264,6 +266,24 @@ class TestFeatureBasedGain:
             FeatureBasedObjective(F2, "sqrt", weights=[1.0])
         with pytest.raises(ConstraintViolationError):
             FeatureBasedObjective(F2, "sqrt", weights=[1.0, -1.0])
+
+    @pytest.mark.parametrize("n_features, weights", [
+        (4, np.ones((2, 2))),  # D values, but not in one row
+        (1, 2.0),  # a 0-d scalar
+        (2, [[1.0, 1.0]]),
+        (2, [1.0]),
+        (2, [1.0, 1.0, 1.0]),
+    ])
+    def test_weights_must_be_one_value_per_feature(self, n_features, weights):
+        """The objective, the selector and the oracle refuse the same shapes."""
+        X = np.ones((3, n_features))
+        named = re.escape(f"got shape {np.shape(weights)}")
+        with pytest.raises(InputError, match=named):
+            FeatureBasedObjective(X, "sqrt", weights=weights)
+        with pytest.raises(InputError, match=named):
+            FeatureBasedSelector(2, weights=weights).fit(X)
+        with pytest.raises(InputError, match="^weights must be"):
+            feature_based_eval(X, weights, "sqrt", [0])
 
     def test_negative_features_rejected(self):
         with pytest.raises(ConstraintViolationError):
